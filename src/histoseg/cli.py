@@ -8,11 +8,16 @@ import time
 
 from . import __version__
 from .bench import run_benchmark
-from .engine import between_class_variance, run_dendrogram, thresholds_at
+from .engine import (
+    between_class_variance,
+    run_dendrogram,
+    thresholds_at,
+    thresholds_at_levels,
+)
 from .metrics import (
     DimensionMismatch,
     foreground_of,
-    map_to_class_means,
+    histogram_psnr,
     misclassification_error,
     psnr,
     quantize,
@@ -117,21 +122,19 @@ def _cmd_threshold(args) -> int:
         q = v / w if w else None
 
     t0 = time.perf_counter()
-    out_img = quantize(img, tset)
-    mse, psnr_real = psnr(img, map_to_class_means(img, tset))
-    mse_rounded, psnr_rounded = psnr(img, out_img)
+    [((mse, psnr_real), (mse_rounded, psnr_rounded))] = histogram_psnr(h, [tset])
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.write(write_pgm(out_img))
+                fh.write(write_pgm(quantize(img, tset)))
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
     quantize_s = time.perf_counter() - t0
 
     foreground_area = None
     if args.levels == 2:
-        above = int((img.pixels > tset.cuts[0]).sum())
-        foreground_area = above if args.polarity == "above" else img.pixels.size - above
+        above = sum(h.counts[tset.cuts[0] + 1 :])
+        foreground_area = above if args.polarity == "above" else h.N - above
 
     report = {
         "version": __version__,
@@ -185,19 +188,18 @@ def _cmd_sweep(args) -> int:
     trace = run_dendrogram(h)  # one pass serves every requested level
     merge_s = time.perf_counter() - t0
 
-    entries = []
-    for level in levels:
-        tset = thresholds_at(trace, level)
-        _, psnr_real = psnr(img, map_to_class_means(img, tset))
-        _, psnr_rounded = psnr(img, quantize(img, tset))
-        entries.append(
-            {
-                "level": level,
-                "thresholds": list(tset.cuts),
-                "psnr_db_real_means": _finite_or_none(psnr_real),
-                "psnr_db_rounded": _finite_or_none(psnr_rounded),
-            }
+    tsets = thresholds_at_levels(trace, levels)
+    entries = [
+        {
+            "level": level,
+            "thresholds": list(tset.cuts),
+            "psnr_db_real_means": _finite_or_none(psnr_real),
+            "psnr_db_rounded": _finite_or_none(psnr_rounded),
+        }
+        for level, tset, ((_, psnr_real), (_, psnr_rounded)) in zip(
+            levels, tsets, histogram_psnr(h, tsets)
         )
+    ]
 
     report = {
         "version": __version__,

@@ -10,6 +10,7 @@ count reached.
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -376,21 +377,37 @@ def thresholds_at(trace: MergeTrace, m: int) -> ThresholdSet:
     Cut points are the inclusive upper gray bounds of all classes but the
     last.
     """
+    return thresholds_at_levels(trace, [m])[0]
+
+
+def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[ThresholdSet]:
+    """thresholds_at() for each of `levels`, in order, from one replay.
+
+    The replay walks down from K0 once and takes each requested partition
+    as it passes, so the cost is one pass over the trace however many
+    levels are asked for.  Levels may repeat and come in any order.
+    """
+    levels = list(levels)
     k0 = trace.initial.K
     k_final = k0 - len(trace.records)
-    if not k_final <= m <= k0:
-        raise InvalidLevel(f"m={m} not in [{k_final}, {k0}] for this trace")
+    for m in levels:
+        if not k_final <= m <= k0:
+            raise InvalidLevel(f"m={m} not in [{k_final}, {k0}] for this trace")
     ns = [c.n for c in trace.initial.classes]
     sums = [c.gray_sum for c in trace.initial.classes]
     ghis = [c.g_hi for c in trace.initial.classes]
-    for rec in trace.records[: k0 - m]:
-        l = rec.left_index
-        ns[l] += ns[l + 1]
-        sums[l] += sums[l + 1]
-        ghis[l] = ghis[l + 1]
-        del ns[l + 1], sums[l + 1], ghis[l + 1]
-    return ThresholdSet(
-        cuts=tuple(ghis[:-1]),
-        means=tuple(s / n for s, n in zip(sums, ns)),
-        top=ghis[-1],
-    )
+    found: dict[int, ThresholdSet] = {}
+    records = iter(trace.records)
+    for m in sorted(set(levels), reverse=True):
+        while len(ns) > m:
+            l = next(records).left_index
+            ns[l] += ns[l + 1]
+            sums[l] += sums[l + 1]
+            ghis[l] = ghis[l + 1]
+            del ns[l + 1], sums[l + 1], ghis[l + 1]
+        found[m] = ThresholdSet(
+            cuts=tuple(ghis[:-1]),
+            means=tuple(s / n for s, n in zip(sums, ns)),
+            top=ghis[-1],
+        )
+    return [found[m] for m in levels]

@@ -1,11 +1,14 @@
 """Image quality metrics and class-mean quantization."""
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .engine import ThresholdSet
+from .engine import EmptyHistogram, Histogram, ThresholdSet
 
 # PSNR peak is pinned to the 8-bit maximum regardless of image content.
 PEAK = 255.0
@@ -87,24 +90,91 @@ def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
     return BinaryMask(bits=~bits if invert else bits)
 
 
-def _class_index(img: GrayImage, t: ThresholdSet) -> np.ndarray:
+def _lookup(img: GrayImage, t: ThresholdSet, values: np.ndarray) -> np.ndarray:
+    """values[k] for every pixel of class k, through a 256-entry table."""
     if int(img.pixels.max()) > t.top:
         raise RangeMismatch(
             f"pixel value {int(img.pixels.max())} exceeds threshold range top {t.top}"
         )
-    return np.searchsorted(np.asarray(t.cuts), img.pixels, side="left")
+    lut = np.zeros(256, dtype=values.dtype)
+    lo = 0
+    for hi, value in zip(t.cuts + (t.top,), values):
+        lut[lo : hi + 1] = value
+        lo = hi + 1
+    return lut[img.pixels]
 
 
 def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     """Replace each pixel by its class mean, rounded half-up to 8 bits."""
     means = np.asarray(t.means, dtype=np.float64)
-    rounded = np.floor(means + 0.5).astype(np.uint8)
-    return GrayImage(pixels=rounded[_class_index(img, t)])
+    return GrayImage(pixels=_lookup(img, t, np.floor(means + 0.5).astype(np.uint8)))
 
 
 def map_to_class_means(img: GrayImage, t: ThresholdSet) -> np.ndarray:
-    """Per-pixel real-valued class means (no rounding), for exact error sums."""
-    return np.asarray(t.means, dtype=np.float64)[_class_index(img, t)]
+    """Per-pixel real-valued class means (no rounding), for use with psnr()."""
+    return _lookup(img, t, np.asarray(t.means, dtype=np.float64))
+
+
+def cut_set_errors(
+    h: Histogram, tsets: Iterable[ThresholdSet]
+) -> list[tuple[Fraction, int]]:
+    """Exact squared error of each cut set, summed from the histogram alone.
+
+    For every ThresholdSet returns (scatter, sse_rounded): the total
+    squared deviation of the pixels about their real class means, as a
+    Fraction, and about the class means rounded half-up to integers, as an
+    int.  Each class reads its count n and its sums s1 = sum(c*g) and
+    s2 = sum(c*g*g) off prefix sums built once, so a cut set costs
+    O(M) whatever the pixel count.  The class means are s1/n; t.means is
+    not read.  Empty classes contribute nothing.  Raises RangeMismatch
+    when the histogram has counts above a set's top.
+    """
+    cn = [0, *accumulate(h.counts)]
+    c1 = [0, *accumulate(g * c for g, c in enumerate(h.counts))]
+    c2 = [0, *accumulate(g * g * c for g, c in enumerate(h.counts))]
+    last = h.G - 1
+    result = []
+    for t in tsets:
+        if cn[-1] > cn[min(t.top, last) + 1]:
+            raise RangeMismatch(f"histogram has counts above threshold range top {t.top}")
+        # sum of (n*s2 - s1^2)/n over classes, as num/den without reducing
+        num, den = 0, 1
+        sse_rounded = 0
+        lo = 0
+        for hi in t.cuts + (t.top,):
+            hi = min(hi, last) + 1
+            n = cn[hi] - cn[lo]
+            if n:
+                s1 = c1[hi] - c1[lo]
+                s2 = c2[hi] - c2[lo]
+                num = num * n + (n * s2 - s1 * s1) * den
+                den *= n
+                r = (2 * s1 + n) // (2 * n)  # half-up, as quantize() rounds
+                sse_rounded += s2 - 2 * r * s1 + r * r * n
+            lo = hi
+        result.append((Fraction(num, den), sse_rounded))
+    return result
+
+
+def histogram_psnr(
+    h: Histogram, tsets: Iterable[ThresholdSet]
+) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """(MSE, PSNR) of each cut set with real and with rounded class means.
+
+    For the image h was taken from and a set whose means are its class
+    means (as thresholds_at and exhaustive_otsu give), these are
+    psnr(img, map_to_class_means(img, t)) and psnr(img, quantize(img, t))
+    without a pass over the pixels.  Each MSE is the exact error sum of
+    cut_set_errors over N, rounded once, so the real-mean value can differ
+    from the pixel route's float sum in the last digit.
+    """
+    n_total = h.N
+    if n_total == 0:
+        raise EmptyHistogram("histogram holds no pixels")
+    return [
+        (_mse_psnr(float(scatter / n_total)), _mse_psnr(sse_rounded / n_total))
+        for scatter, sse_rounded in cut_set_errors(h, tsets)
+    ]
 
 
 def _check_dims(a, b):
@@ -142,7 +212,10 @@ def psnr(src: GrayImage, test) -> tuple[float, float]:
     if t.shape != src.pixels.shape:
         raise DimensionMismatch(f"image shapes differ: {src.pixels.shape} vs {t.shape}")
     diff = src.pixels.astype(np.float64) - t.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    return _mse_psnr(float(np.mean(diff * diff)))
+
+
+def _mse_psnr(mse: float) -> tuple[float, float]:
     if mse == 0.0:
         return 0.0, math.inf
     return mse, 10.0 * math.log10(PEAK * PEAK / mse)

@@ -9,6 +9,7 @@ import itertools
 import math
 
 from .engine import ClassArray, Histogram, ThresholdSet
+from .metrics import cut_set_errors
 
 MAX_ORACLE_BINS = 64
 MAX_ORACLE_PIXELS = 100_000
@@ -123,17 +124,9 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
 def within_class_scatter(h: Histogram, t: ThresholdSet) -> float:
     """Total squared deviation of pixels about their class means.
 
-    Evaluated directly from the histogram with class means recomputed
-    per cut range, so it rates engine and oracle cut sets on equal
-    footing.  Equals pixel count times the mean-quantization MSE.
+    Evaluated exactly from the histogram's per-class sums (see
+    metrics.cut_set_errors), so it rates engine and oracle cut sets on
+    equal footing.  Equals pixel count times the mean-quantization MSE.
     """
-    edges = [-1, *t.cuts, h.G - 1]
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        span = range(lo + 1, hi + 1)
-        n_k = sum(h.counts[g] for g in span)
-        if n_k == 0:
-            continue
-        mean_k = sum(g * h.counts[g] for g in span) / n_k
-        total += sum(h.counts[g] * (g - mean_k) ** 2 for g in span)
-    return total
+    [(scatter, _)] = cut_set_errors(h, [t])
+    return float(scatter)

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import histoseg.cli
+import histoseg.metrics
 from histoseg.cli import main
 from histoseg.metrics import GrayImage
 from histoseg.pgm import read_pgm, write_pgm
+
+from helpers import standard_image
 
 
 def save_pgm(path, rows):
@@ -71,6 +75,55 @@ class TestThreshold:
         main(["threshold", five_pixel_image, "--levels", "2", "--report", str(report),
               "--polarity", "below"])
         assert json.loads(report.read_text())["foreground_area"] == 4
+
+    def test_foreground_area_matches_pixel_count(self, tmp_path):
+        img = standard_image(size=64, seed=3)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(write_pgm(img))
+        report = tmp_path / "r.json"
+        for polarity in ("above", "below"):
+            assert main(["threshold", str(path), "--levels", "2", "--polarity", polarity,
+                         "--report", str(report)]) == 0
+            data = json.loads(report.read_text())
+            above = img.pixels > data["thresholds"][0]
+            expected = above if polarity == "above" else ~above
+            assert data["foreground_area"] == int(expected.sum())
+
+
+def _without_timings(path):
+    data = json.loads(path.read_text())
+    data.pop("timings")
+    return data
+
+
+def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
+    """Reports come from the histogram; the pixel-domain metrics are never called."""
+    src = tmp_path / "img.pgm"
+    src.write_bytes(write_pgm(standard_image(size=64, seed=5)))
+    commands = {
+        "threshold": ["threshold", str(src), "--levels", "4"],
+        "threshold-out": ["threshold", str(src), "--levels", "4",
+                          "--out", str(tmp_path / "q.pgm")],
+        "sweep": ["sweep", str(src), "--levels-list", "2,3,5,10,25"],
+    }
+
+    def run_all(tag):
+        for name, argv in commands.items():
+            assert main([*argv, "--report", str(tmp_path / f"{name}-{tag}.json")]) == 0
+        return (tmp_path / "q.pgm").read_bytes()
+
+    before = run_all("plain")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pixel-domain metric called")
+
+    for module in (histoseg.cli, histoseg.metrics):
+        monkeypatch.setattr(module, "map_to_class_means", forbidden, raising=False)
+        monkeypatch.setattr(module, "psnr", forbidden)
+    assert run_all("guarded") == before
+    for name in commands:
+        assert _without_timings(tmp_path / f"{name}-guarded.json") == _without_timings(
+            tmp_path / f"{name}-plain.json")
 
 
 class TestSweep:

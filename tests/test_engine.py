@@ -21,6 +21,7 @@ from histoseg.engine import (
     pair_distance,
     run_dendrogram,
     thresholds_at,
+    thresholds_at_levels,
 )
 from histoseg.oracle import naive_variances
 
@@ -284,6 +285,38 @@ class TestThresholdsAt:
                 fine = set(thresholds_at(trace, m + 1).cuts)
                 assert coarse < fine
                 assert len(fine - coarse) == 1
+
+
+class TestThresholdsAtLevels:
+    def test_one_pass_matches_per_level_replay(self):
+        rng = random.Random(59)
+        for _ in range(40):
+            h = sparse_histogram(rng, max_bins=16)
+            k0 = sum(1 for c in h.counts if c)
+            trace = run_dendrogram(h, stop_at=rng.randint(1, k0))
+            k_final = k0 - len(trace.records)
+            levels = list(range(k_final, k0 + 1))
+            assert thresholds_at_levels(trace, levels) == [
+                thresholds_at(trace, m) for m in levels
+            ]
+            # any order, with repeats, comes back in the order asked
+            shuffled = levels + [rng.choice(levels) for _ in range(3)]
+            rng.shuffle(shuffled)
+            assert thresholds_at_levels(trace, shuffled) == [
+                thresholds_at(trace, m) for m in shuffled
+            ]
+
+    def test_unsorted_with_duplicates(self):
+        trace = run_dendrogram(EXAMPLE)
+        cuts = [t.cuts for t in thresholds_at_levels(trace, [2, 3, 1, 2, 3])]
+        assert cuts == [(2,), (1, 2), (), (2,), (1, 2)]
+
+    def test_invalid_level(self):
+        trace = run_dendrogram(EXAMPLE, stop_at=2)
+        with pytest.raises(InvalidLevel):
+            thresholds_at_levels(trace, [2, 1])
+        with pytest.raises(InvalidLevel):
+            thresholds_at_levels(trace, [4])
 
 
 class TestTraceSerialization:

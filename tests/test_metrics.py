@@ -4,14 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
+from histoseg.engine import EmptyHistogram, ThresholdSet, run_dendrogram, thresholds_at
 from histoseg.metrics import (
     BinaryMask,
     DimensionMismatch,
     GrayImage,
     MetricsReport,
     RangeMismatch,
+    cut_set_errors,
     foreground_of,
+    histogram_psnr,
     map_to_class_means,
     misclassification_error,
     psnr,
@@ -20,7 +22,7 @@ from histoseg.metrics import (
 )
 from histoseg.pgm import histogram_of
 
-from helpers import small_image
+from helpers import hist_from, rel_err, small_image, standard_image
 
 
 def gray(*rows):
@@ -68,6 +70,8 @@ class TestQuantize:
         t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
         with pytest.raises(RangeMismatch):
             quantize(gray([1, 7]), t)
+        with pytest.raises(RangeMismatch):
+            map_to_class_means(gray([1, 7]), t)
 
     def test_idempotent_with_engine_thresholds(self):
         rng = np.random.default_rng(61)
@@ -178,6 +182,60 @@ class TestPsnr:
             _, db = psnr(img, map_to_class_means(img, thresholds_at(trace, m)))
             values.append(db)
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestHistogramPsnr:
+    def test_worked_example(self):
+        h = hist_from({1: 2, 2: 2, 5: 1})
+        t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
+        assert cut_set_errors(h, [t]) == [(1, 2)]  # 1.5 rounds up to 2
+        [((mse, db), (mse_r, db_r))] = histogram_psnr(h, [t])
+        assert (mse, mse_r) == (0.2, 0.4)
+        assert db == 10 * math.log10(255**2 / 0.2)
+        assert db_r == 10 * math.log10(255**2 / 0.4)
+
+    def test_zero_error_is_infinite(self):
+        h = hist_from({3: 4, 9: 2})
+        [((mse, db), (mse_r, db_r))] = histogram_psnr(
+            h, [ThresholdSet(cuts=(3,), means=(3.0, 9.0), top=9)])
+        assert mse == mse_r == 0.0 and math.isinf(db) and math.isinf(db_r)
+
+    def test_matches_pixel_route_on_standard_image(self):
+        img = standard_image()
+        h = histogram_of(img)
+        trace = run_dendrogram(h)
+        tsets = [thresholds_at(trace, m) for m in range(2, 26)]
+        for t, (real, rounded) in zip(tsets, histogram_psnr(h, tsets)):
+            pixel_real = psnr(img, map_to_class_means(img, t))
+            assert rel_err(real[0], pixel_real[0]) <= 1e-12
+            assert rel_err(real[1], pixel_real[1]) <= 1e-12
+            assert rounded == psnr(img, quantize(img, t))
+
+    def test_monotone_in_class_count_exactly(self):
+        # the same 50 images as acceptance criterion C5
+        rng = np.random.default_rng(20250814)
+        for _ in range(50):
+            img = small_image(rng, side=12, min_distinct=8, max_distinct=40)
+            h = histogram_of(img)
+            trace = run_dendrogram(h)
+            tsets = [thresholds_at(trace, m) for m in range(2, trace.initial.K + 1)]
+            values = [real[1] for real, _ in histogram_psnr(h, tsets)]
+            assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_empty_class_contributes_nothing(self):
+        h = hist_from({1: 2, 2: 2, 5: 1})
+        with_gap = ThresholdSet(cuts=(2, 3), means=(1.5, 3.0, 5.0), top=5)
+        plain = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
+        assert cut_set_errors(h, [with_gap, plain]) == [(1, 2), (1, 2)]
+
+    def test_range_mismatch(self):
+        h = hist_from({1: 1, 7: 1})
+        with pytest.raises(RangeMismatch):
+            histogram_psnr(h, [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
+
+    def test_empty_histogram(self):
+        with pytest.raises(EmptyHistogram):
+            histogram_psnr(hist_from({}), [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
 
 
 class TestForegroundOf:
