@@ -3,101 +3,44 @@
 __version__ = "0.1.0"
 
 from .engine import (
-    ClassArray,
-    ClassRecord,
     EmptyHistogram,
-    Histogram,
     InvalidLevel,
     InvalidStop,
-    MergeRecord,
     MergeTrace,
-    SingleClass,
-    ThresholdSet,
-    between_class_variance,
-    build_initial,
-    find_min_pair,
     histogram_from_csv,
     histogram_from_json,
-    merge_step,
-    pair_distance,
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
 )
 from .metrics import (
-    BinaryMask,
     DimensionMismatch,
-    GrayImage,
-    MetricsReport,
     RangeMismatch,
-    foreground_of,
     histogram_psnr,
     map_to_class_means,
-    misclassification_error,
     psnr,
     quantize,
-    relative_area_error,
 )
-from .oracle import Infeasible, TooLarge, exhaustive_otsu, naive_variances, within_class_scatter
-from .pgm import (
-    MalformedHeader,
-    MalformedPayload,
-    PgmError,
-    TruncatedPayload,
-    UnsupportedMaxval,
-    histogram_of,
-    read_pgm,
-    write_pgm,
-)
-from .bench import run_benchmark, synthetic_histogram
+from .pgm import PgmError, histogram_of, read_pgm
 
 __all__ = [
     "__version__",
-    "BinaryMask",
-    "ClassArray",
-    "ClassRecord",
     "DimensionMismatch",
     "EmptyHistogram",
-    "GrayImage",
-    "Histogram",
-    "Infeasible",
     "InvalidLevel",
     "InvalidStop",
-    "MalformedHeader",
-    "MalformedPayload",
-    "MergeRecord",
     "MergeTrace",
-    "MetricsReport",
     "PgmError",
     "RangeMismatch",
-    "SingleClass",
-    "ThresholdSet",
-    "TooLarge",
-    "TruncatedPayload",
-    "UnsupportedMaxval",
-    "between_class_variance",
-    "build_initial",
-    "exhaustive_otsu",
-    "find_min_pair",
-    "foreground_of",
     "histogram_from_csv",
     "histogram_from_json",
     "histogram_of",
     "histogram_psnr",
     "map_to_class_means",
-    "merge_step",
-    "misclassification_error",
-    "naive_variances",
-    "pair_distance",
     "psnr",
     "quantize",
     "read_pgm",
-    "relative_area_error",
-    "run_benchmark",
     "run_dendrogram",
-    "synthetic_histogram",
     "thresholds_at",
     "thresholds_at_levels",
-    "within_class_scatter",
-    "write_pgm",
 ]

@@ -9,6 +9,7 @@ import time
 from . import __version__
 from .bench import run_benchmark
 from .engine import (
+    InvalidLevel,
     between_class_variance,
     run_dendrogram,
     thresholds_at,
@@ -26,40 +27,44 @@ from .metrics import (
 from .oracle import Infeasible, TooLarge, exhaustive_otsu, within_class_scatter
 from .pgm import PgmError, histogram_of, read_pgm, write_pgm
 
-EXIT_OK = 0
-EXIT_IO = 2
-EXIT_LEVELS = 3
-EXIT_DIMENSIONS = 4
-EXIT_GUARD = 5
+
+class SelfCheckFailed(RuntimeError):
+    """The greedy cut set scored better than the exhaustive optimum."""
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"E: {message}", file=sys.stderr)
-    return code
+# Every error a command raises reaches the user through this one table.
+EXIT_CODES = {
+    OSError: 2,
+    PgmError: 2,
+    InvalidLevel: 3,
+    Infeasible: 3,
+    DimensionMismatch: 4,
+    TooLarge: 5,
+    SelfCheckFailed: 1,
+}
 
 
 def _load_image(path: str):
     with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+        data = fh.read()
+    try:
+        return read_pgm(data)
+    except PgmError as exc:
+        raise PgmError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _check_levels(h, most: int) -> None:
+    distinct = sum(1 for c in h.counts if c)
+    if most > distinct:
+        raise InvalidLevel(
+            f"requested {most} classes but image has only {distinct} distinct gray levels"
+        )
 
 
 def _finite_or_none(value: float | None) -> float | None:
     if value is None or math.isinf(value):
         return None
     return value
-
-
-def _distinct_levels(h) -> int:
-    return sum(1 for c in h.counts if c)
 
 
 def _positive_int(minimum: int, what: str):
@@ -92,22 +97,14 @@ def _int_list(minimum: int, what: str):
     return parse
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> dict:
     t_total = time.perf_counter()
     t0 = time.perf_counter()
-    try:
-        img = _load_image(args.image)
-    except (OSError, PgmError) as exc:
-        return _fail(EXIT_IO, f"cannot read {args.image}: {exc}")
+    img = _load_image(args.image)
     read_s = time.perf_counter() - t0
 
     h = histogram_of(img)
-    distinct = _distinct_levels(h)
-    if args.levels > distinct:
-        return _fail(
-            EXIT_LEVELS,
-            f"requested {args.levels} classes but image has only {distinct} distinct gray levels",
-        )
+    _check_levels(h, args.levels)
 
     t0 = time.perf_counter()
     trace = run_dendrogram(h, stop_at=args.levels)
@@ -124,11 +121,8 @@ def _cmd_threshold(args) -> int:
     t0 = time.perf_counter()
     [((mse, psnr_real), (mse_rounded, psnr_rounded))] = histogram_psnr(h, [tset])
     if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(write_pgm(quantize(img, tset)))
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
+        with open(args.out, "wb") as fh:
+            fh.write(write_pgm(quantize(img, tset)))
     quantize_s = time.perf_counter() - t0
 
     foreground_area = None
@@ -136,9 +130,7 @@ def _cmd_threshold(args) -> int:
         above = sum(h.counts[tset.cuts[0] + 1 :])
         foreground_area = above if args.polarity == "above" else h.N - above
 
-    report = {
-        "version": __version__,
-        "command": "threshold",
+    return {
         "input": args.image,
         "levels": args.levels,
         "polarity": args.polarity,
@@ -161,28 +153,15 @@ def _cmd_threshold(args) -> int:
             "total_s": time.perf_counter() - t_total,
         },
     }
-    try:
-        _emit(report, args.report)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.report}: {exc}")
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     t_total = time.perf_counter()
-    try:
-        img = _load_image(args.image)
-    except (OSError, PgmError) as exc:
-        return _fail(EXIT_IO, f"cannot read {args.image}: {exc}")
+    img = _load_image(args.image)
 
     levels = sorted(set(args.levels_list))
     h = histogram_of(img)
-    distinct = _distinct_levels(h)
-    if levels[-1] > distinct:
-        return _fail(
-            EXIT_LEVELS,
-            f"requested {levels[-1]} classes but image has only {distinct} distinct gray levels",
-        )
+    _check_levels(h, levels[-1])
 
     t0 = time.perf_counter()
     trace = run_dendrogram(h)  # one pass serves every requested level
@@ -201,46 +180,28 @@ def _cmd_sweep(args) -> int:
         )
     ]
 
-    report = {
-        "version": __version__,
-        "command": "sweep",
+    return {
         "input": args.image,
         "levels": levels,
         "entries": entries,
         "timings": {"merge_s": merge_s, "total_s": time.perf_counter() - t_total},
     }
-    try:
-        _emit(report, args.report)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.report}: {exc}")
-    return EXIT_OK
 
 
-def _cmd_metrics(args) -> int:
-    try:
-        ref = _load_image(args.ref)
-        test = _load_image(args.test)
-        src = _load_image(args.src) if args.src else None
-    except (OSError, PgmError) as exc:
-        return _fail(EXIT_IO, f"cannot read input: {exc}")
+def _cmd_metrics(args) -> dict:
+    ref = _load_image(args.ref)
+    test = _load_image(args.test)
+    src = _load_image(args.src) if args.src else None
 
     invert = args.polarity == "below"
-    try:
-        me = misclassification_error(
-            foreground_of(ref, invert), foreground_of(test, invert)
-        )
-        rae = relative_area_error(
-            foreground_of(ref, invert), foreground_of(test, invert)
-        )
-        mse = psnr_db = None
-        if src is not None:
-            mse, psnr_db = psnr(src, test)
-    except DimensionMismatch as exc:
-        return _fail(EXIT_DIMENSIONS, str(exc))
+    ref_fg, test_fg = foreground_of(ref, invert), foreground_of(test, invert)
+    me = misclassification_error(ref_fg, test_fg)
+    rae = relative_area_error(ref_fg, test_fg)
+    mse = psnr_db = None
+    if src is not None:
+        mse, psnr_db = psnr(src, test)
 
-    report = {
-        "version": __version__,
-        "command": "metrics",
+    return {
         "ref": args.ref,
         "test": args.test,
         "src": args.src,
@@ -250,40 +211,23 @@ def _cmd_metrics(args) -> int:
         "mse": mse,
         "psnr_db": _finite_or_none(psnr_db),
     }
-    try:
-        _emit(report, args.report)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.report}: {exc}")
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    try:
-        img = _load_image(args.image)
-    except (OSError, PgmError) as exc:
-        return _fail(EXIT_IO, f"cannot read {args.image}: {exc}")
-
+def _cmd_oracle(args) -> dict:
+    img = _load_image(args.image)
     h = histogram_of(img)
-    try:
-        oracle_t = exhaustive_otsu(h, args.levels)
-    except TooLarge as exc:
-        return _fail(EXIT_GUARD, str(exc))
-    except Infeasible as exc:
-        return _fail(EXIT_LEVELS, str(exc))
+    oracle_t = exhaustive_otsu(h, args.levels)
 
     trace = run_dendrogram(h, stop_at=args.levels)
     engine_t = thresholds_at(trace, args.levels)
     oracle_scatter = within_class_scatter(h, oracle_t)
     engine_scatter = within_class_scatter(h, engine_t)
     if engine_scatter < oracle_scatter - 1e-9 * max(1.0, oracle_scatter):
-        return _fail(
-            1,
-            f"internal error: greedy scatter {engine_scatter} beats exhaustive {oracle_scatter}",
+        raise SelfCheckFailed(
+            f"internal error: greedy scatter {engine_scatter} beats exhaustive {oracle_scatter}"
         )
 
-    report = {
-        "version": __version__,
-        "command": "oracle",
+    return {
         "input": args.image,
         "levels": args.levels,
         "oracle_thresholds": list(oracle_t.cuts),
@@ -292,27 +236,10 @@ def _cmd_oracle(args) -> int:
         "engine_within_scatter": engine_scatter,
         "ratio": engine_scatter / oracle_scatter if oracle_scatter > 0 else None,
     }
-    try:
-        _emit(report, args.report)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.report}: {exc}")
-    return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    result = run_benchmark(args.bins_list, repeat=args.repeat)
-    report = {
-        "version": __version__,
-        "command": "bench",
-        "repeat": result["repeat"],
-        "rows": result["rows"],
-        "slope": result["slope"],
-    }
-    try:
-        _emit(report, args.report)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.report}: {exc}")
-    return EXIT_OK
+def _cmd_bench(args) -> dict:
+    return run_benchmark(args.bins_list, repeat=args.repeat)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -397,9 +324,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.func(args)
+    args = _PARSER.parse_args(argv)
+    try:
+        report = {"version": __version__, "command": args.command, **args.func(args)}
+        text = json.dumps(report, indent=2) + "\n"
+        if args.report:
+            with open(args.report, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except tuple(EXIT_CODES) as exc:
+        print(f"E: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 def entry() -> None:

@@ -18,10 +18,6 @@ class EmptyHistogram(ValueError):
     """The histogram holds zero pixels."""
 
 
-class SingleClass(ValueError):
-    """At least two classes are required."""
-
-
 class InvalidStop(ValueError):
     """Requested stop level lies outside [1, K0]."""
 
@@ -97,12 +93,11 @@ class ClassRecord:
     """One contiguous gray-level class.
 
     gray_sum is the exact integer sum of the original gray values inside
-    the class, so merged means never accumulate float drift; a is always
-    gray_sum / n.
+    the class, so the class mean gray_sum / n never accumulates float
+    drift.
     """
 
     n: int
-    a: float
     g_lo: int
     g_hi: int
     gray_sum: int
@@ -170,7 +165,7 @@ class MergeTrace:
             "grand_mean": self.initial.grand_mean,
             "ss_total": self.ss_total,
             "initial_classes": [
-                {"n": c.n, "a": c.a, "g_lo": c.g_lo, "g_hi": c.g_hi}
+                {"n": c.n, "a": c.gray_sum / c.n, "g_lo": c.g_lo, "g_hi": c.g_hi}
                 for c in self.initial.classes
             ],
             "merges": merges,
@@ -213,7 +208,7 @@ def build_initial(h: Histogram) -> ClassArray:
     total = 0
     for g, c in enumerate(h.counts):
         if c:
-            classes.append(ClassRecord(n=c, a=float(g), g_lo=g, g_hi=g, gray_sum=c * g))
+            classes.append(ClassRecord(n=c, g_lo=g, g_hi=g, gray_sum=c * g))
             total += c * g
     return ClassArray(classes=tuple(classes), grand_mean=total / n_total, N=n_total)
 
@@ -227,7 +222,7 @@ def between_class_variance(c: ClassArray) -> float | None:
         return None
     acc = 0.0
     for rec in c.classes:
-        diff = rec.a - c.grand_mean
+        diff = rec.gray_sum / rec.n - c.grand_mean
         acc += rec.n * (diff * diff)
     return acc / (c.K - 1)
 
@@ -237,82 +232,13 @@ def _pair_d_sq(n1: int, a1: float, n2: int, a2: float) -> float:
     return n1 * n2 / (n1 + n2) * (diff * diff)
 
 
-def pair_distance(left: ClassRecord, right: ClassRecord) -> float:
-    """Exact growth of within-class scatter if the two classes merged."""
-    return _pair_d_sq(left.n, left.a, right.n, right.a)
-
-
-def find_min_pair(c: ClassArray) -> int:
-    """Index of the cheapest adjacent pair; ties go to the lowest index."""
-    if c.K < 2:
-        raise SingleClass("need at least two classes to pick a pair")
-    cl = c.classes
-    best = math.inf
-    best_l = 0
-    for l in range(c.K - 1):
-        d = pair_distance(cl[l], cl[l + 1])
-        if d < best:
-            best = d
-            best_l = l
-    return best_l
-
-
-def _advance_variances(
-    v_prev: float, w_prev: float, d_sq: float, n_pixels: int, k_prev: int
-):
-    # One merge: K drops by one, the within estimate absorbs d_sq and the
-    # between estimate sheds it; divisors follow the shifted class count.
-    k_after = k_prev - 1
-    dv = n_pixels - k_after
-    v = (n_pixels - k_prev) / dv * v_prev + d_sq / dv
-    if k_after >= 2:
-        w = (k_prev - 1) / (k_after - 1) * w_prev - d_sq / (k_after - 1)
-        q = v / w if w > 0 else None
-    else:
-        w = None
-        q = None
-    return v, w, q
-
-
-def merge_step(
-    c: ClassArray, v_prev: float, w_prev: float, step: int = 1
-) -> tuple[ClassArray, MergeRecord]:
-    """Merge the cheapest adjacent pair and roll the estimates forward.
-
-    v_prev and w_prev must be the current estimates for `c`; the returned
-    record carries the updated values.
-    """
-    l = find_min_pair(c)
-    left, right = c.classes[l], c.classes[l + 1]
-    d_sq = pair_distance(left, right)
-    n_new = left.n + right.n
-    s_new = left.gray_sum + right.gray_sum
-    merged = ClassRecord(
-        n=n_new, a=s_new / n_new, g_lo=left.g_lo, g_hi=right.g_hi, gray_sum=s_new
-    )
-    new_classes = c.classes[:l] + (merged,) + c.classes[l + 2 :]
-    v, w, q = _advance_variances(v_prev, w_prev, d_sq, c.N, c.K)
-    record = MergeRecord(
-        step=step,
-        left_index=l,
-        boundary_gray=left.g_hi,
-        d_sq=d_sq,
-        v=v,
-        w=w,
-        q=q,
-        K_after=c.K - 1,
-    )
-    return ClassArray(classes=new_classes, grand_mean=c.grand_mean, N=c.N), record
-
-
 def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     """Merge down to `stop_at` classes, recording every step.
 
     The default records the complete hierarchy, from which any class
     count >= stop_at can be reconstructed with thresholds_at().  Only the
     two pair distances touching a merge are recomputed per step and the
-    minimum search is a linear scan, so a full run is O(K0^2).  The
-    arithmetic matches iterated merge_step() bit for bit.
+    minimum search is a linear scan, so a full run is O(K0^2).
     """
     initial = build_initial(h)
     k0 = initial.K
@@ -325,7 +251,7 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     n_pixels = initial.N
     ns = [c.n for c in initial.classes]
     sums = [c.gray_sum for c in initial.classes]
-    means = [c.a for c in initial.classes]
+    means = [c.gray_sum / c.n for c in initial.classes]
     ghis = [c.g_hi for c in initial.classes]
     d2 = [_pair_d_sq(ns[j], means[j], ns[j + 1], means[j + 1]) for j in range(k0 - 1)]
 
@@ -334,13 +260,7 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     records: list[MergeRecord] = []
     k = k0
     while k > stop_at:
-        # lowest index wins ties, matching find_min_pair
-        l = 0
-        best = d2[0]
-        for j in range(1, k - 1):
-            if d2[j] < best:
-                best = d2[j]
-                l = j
+        l = min(range(k - 1), key=d2.__getitem__)  # lowest index wins ties
         d_sq = d2[l]
         boundary = ghis[l]
         ns[l] += ns[l + 1]
@@ -354,7 +274,15 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
         if l < len(d2):
             d2[l] = _pair_d_sq(ns[l], means[l], ns[l + 1], means[l + 1])
         k -= 1
-        v, w, q = _advance_variances(v, w, d_sq, n_pixels, k + 1)
+        # The within estimate absorbs d_sq and the between estimate sheds
+        # it; both divisors follow the new class count k.
+        dv = n_pixels - k
+        v = (n_pixels - k - 1) / dv * v + d_sq / dv
+        if k >= 2:
+            w = k / (k - 1) * w - d_sq / (k - 1)
+            q = v / w if w > 0 else None
+        else:
+            w = q = None
         records.append(
             MergeRecord(
                 step=len(records) + 1,

@@ -68,22 +68,6 @@ class BinaryMask:
         return self.bits.shape[0]
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """ME, RAE and (optionally) MSE/PSNR for a reference/test image pair."""
-
-    me: float
-    rae: float
-    mse: float | None = None
-    psnr_db: float | None = None
-
-    def to_dict(self) -> dict:
-        psnr_val = self.psnr_db
-        if psnr_val is not None and math.isinf(psnr_val):
-            psnr_val = None
-        return {"me": self.me, "rae": self.rae, "mse": self.mse, "psnr_db": psnr_val}
-
-
 def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
     """Nonzero pixels as foreground; invert flips the polarity."""
     bits = img.pixels != 0

@@ -8,7 +8,7 @@ the two routes stay independent checks of each other.
 import itertools
 import math
 
-from .engine import ClassArray, Histogram, ThresholdSet
+from .engine import Histogram, ThresholdSet
 from .metrics import cut_set_errors
 
 MAX_ORACLE_BINS = 64
@@ -24,13 +24,16 @@ class Infeasible(ValueError):
     """Fewer occupied gray levels than requested classes."""
 
 
-def naive_variances(c: ClassArray, h: Histogram) -> tuple[float, float | None]:
+def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
     """Within/between-class variance summed straight from the histogram.
 
-    Every pixel is materialized at its bin's gray level and measured
-    against its class mean recomputed from scratch.  Returns (v, w) with
-    w None for a single class; v is 0 when the within-class scatter
-    vanishes, even if N equals K.
+    Each class of `t` spans the gray levels above the previous cut up to
+    its own cut (or `t.top`); its count, mean and scatter are recomputed
+    from the raw bins with no shared state.  Returns (v, w) with w None
+    for a single class; v is 0 when the within-class scatter vanishes,
+    even if N equals K.  Raises ValueError when `t` does not describe `h`:
+    a class is empty, a mean in `t.means` differs from the recomputed
+    one, or pixels lie above `t.top`.
     """
     occupied = sum(1 for cnt in h.counts if cnt)
     if occupied > MAX_ORACLE_BINS or h.N > MAX_ORACLE_PIXELS:
@@ -41,15 +44,23 @@ def naive_variances(c: ClassArray, h: Histogram) -> tuple[float, float | None]:
     grand = sum(g * cnt for g, cnt in enumerate(h.counts)) / n_total
     ss_within = 0.0
     ss_between = 0.0
-    k = c.K
-    for rec in c.classes:
-        span = range(rec.g_lo, rec.g_hi + 1)
+    covered = 0
+    lo = 0
+    for hi, mean in zip(t.cuts + (t.top,), t.means):
+        span = range(lo, hi + 1)
+        lo = hi + 1
         n_k = sum(h.counts[g] for g in span)
-        if n_k != rec.n:
-            raise ValueError("class array inconsistent with histogram")
+        if n_k == 0:
+            raise ValueError(f"class ending at gray {hi} holds no pixels")
         mean_k = sum(g * h.counts[g] for g in span) / n_k
+        if mean_k != mean:
+            raise ValueError(f"class mean {mean} differs from recomputed {mean_k}")
+        covered += n_k
         ss_within += sum(h.counts[g] * (g - mean_k) ** 2 for g in span)
         ss_between += n_k * (mean_k - grand) ** 2
+    if covered != n_total:
+        raise ValueError(f"{n_total - covered} pixels lie above top {t.top}")
+    k = t.M
     v = ss_within / (n_total - k) if n_total > k else 0.0
     w = ss_between / (k - 1) if k >= 2 else None
     return v, w

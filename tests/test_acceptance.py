@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from histoseg.cli import main
-from histoseg.engine import (
-    between_class_variance,
-    build_initial,
-    merge_step,
-    run_dendrogram,
-    thresholds_at,
-)
+from histoseg.engine import run_dendrogram, thresholds_at, thresholds_at_levels
 from histoseg.metrics import (
     BinaryMask,
     map_to_class_means,
@@ -52,12 +46,11 @@ def test_c1_oracle_equivalence():
     steps = 0
     for _ in range(1000):
         h = sparse_histogram(rng, max_bins=12, max_pixels=40)
-        c = build_initial(h)
-        v, w = 0.0, between_class_variance(c)
-        while c.K > 1:
-            c, rec = merge_step(c, v, w)
+        trace = run_dendrogram(h)
+        tsets = thresholds_at_levels(trace, [r.K_after for r in trace.records])
+        for rec, t in zip(trace.records, tsets):
             v, w = rec.v, rec.w
-            v_naive, w_naive = naive_variances(c, h)
+            v_naive, w_naive = naive_variances(h, t)
             gap_v = 0.0 if v == v_naive else abs(v - v_naive) / max(abs(v_naive), abs(v), 1e-30)
             worst = max(worst, gap_v)
             if w_naive is None:

@@ -6,6 +6,7 @@ import pytest
 import histoseg.cli
 import histoseg.metrics
 from histoseg.cli import main
+from histoseg.engine import ThresholdSet
 from histoseg.metrics import GrayImage
 from histoseg.pgm import read_pgm, write_pgm
 
@@ -58,10 +59,21 @@ class TestThreshold:
         assert code == 2
         assert capsys.readouterr().err.startswith("E:")
 
-    def test_malformed_file_exits_2(self, tmp_path):
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n4 4\n255\nxx")
         assert main(["threshold", str(bad), "--levels", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E:")
+        assert str(bad) in err
+
+    def test_unwritable_outputs_exit_2(self, tmp_path, five_pixel_image, capsys):
+        missing_dir = tmp_path / "missing"
+        for option in ("--out", "--report"):
+            argv = ["threshold", five_pixel_image, "--levels", "2",
+                    option, str(missing_dir / "x")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("E:")
 
     def test_constant_image_exits_3(self, tmp_path, capsys):
         path = save_pgm(tmp_path / "const.pgm", [[7, 7], [7, 7]])
@@ -75,6 +87,9 @@ class TestThreshold:
         main(["threshold", five_pixel_image, "--levels", "2", "--report", str(report),
               "--polarity", "below"])
         assert json.loads(report.read_text())["foreground_area"] == 4
+        # the parser is built once; the default must come back after "below"
+        main(["threshold", five_pixel_image, "--levels", "2", "--report", str(report)])
+        assert json.loads(report.read_text())["foreground_area"] == 1
 
     def test_foreground_area_matches_pixel_count(self, tmp_path):
         img = standard_image(size=64, seed=3)
@@ -160,6 +175,11 @@ class TestMetrics:
         data = json.loads((tmp_path / "m.json").read_text())
         assert data["me"] == 0.0 and data["rae"] == 0.0
         assert data["mse"] is None and data["psnr_db"] is None
+        # a zero-error pair has infinite PSNR, reported as null
+        assert main(["metrics", "--ref", a, "--test", a, "--src", a,
+                     "--report", str(tmp_path / "m.json")]) == 0
+        data = json.loads((tmp_path / "m.json").read_text())
+        assert data["mse"] == 0.0 and data["psnr_db"] is None
 
     def test_four_pixel_example(self, tmp_path):
         ref = save_pgm(tmp_path / "ref.pgm", [[255, 255, 0, 0]])
@@ -224,6 +244,14 @@ class TestOracle:
 
     def test_infeasible_exits_3(self, five_pixel_image):
         assert main(["oracle", five_pixel_image, "--levels", "4"]) == 3
+
+    def test_greedy_beating_exhaustive_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = save_pgm(tmp_path / "img.pgm", [[0, 3, 9, 9], [40, 40, 41, 200]])
+        # a cut below every other level scatters more than the engine's cut
+        worse = ThresholdSet(cuts=(0,), means=(0.0, 342 / 7), top=200)
+        monkeypatch.setattr(histoseg.cli, "exhaustive_otsu", lambda h, m: worse)
+        assert main(["oracle", path, "--levels", "2"]) == 1
+        assert capsys.readouterr().err.startswith("E:")
 
 
 class TestBench:

@@ -5,39 +5,23 @@ import random
 import pytest
 
 from histoseg.engine import (
-    ClassArray,
-    ClassRecord,
     EmptyHistogram,
     Histogram,
     InvalidLevel,
     InvalidStop,
-    SingleClass,
     between_class_variance,
     build_initial,
-    find_min_pair,
     histogram_from_csv,
     histogram_from_json,
-    merge_step,
-    pair_distance,
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
 )
 from histoseg.oracle import naive_variances
 
-from helpers import dense_histogram, hist_from, rel_err, sparse_histogram
+from helpers import dense_histogram, hist_from, sparse_histogram
 
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
-
-
-def record(n, a, g_lo, g_hi):
-    return ClassRecord(n=n, a=float(a), g_lo=g_lo, g_hi=g_hi, gray_sum=round(n * a))
-
-
-def array_of(*recs):
-    total = sum(r.gray_sum for r in recs)
-    n = sum(r.n for r in recs)
-    return ClassArray(classes=tuple(recs), grand_mean=total / n, N=n)
 
 
 class TestHistogram:
@@ -62,7 +46,8 @@ class TestBuildInitial:
         w0 = between_class_variance(c)
         assert w0 == pytest.approx(5.4, rel=1e-9)
         # cross-check against the independent naive recomputation
-        v_naive, w_naive = naive_variances(c, EXAMPLE)
+        identity = thresholds_at(run_dendrogram(EXAMPLE), 3)
+        v_naive, w_naive = naive_variances(EXAMPLE, identity)
         assert v_naive == 0.0
         assert w_naive == pytest.approx(w0, rel=1e-9)
 
@@ -82,86 +67,27 @@ class TestBuildInitial:
         assert sum(r.n for r in c.classes) == c.N
 
 
-class TestPairDistance:
-    def test_examples(self):
-        assert pair_distance(record(2, 1, 1, 1), record(2, 2, 2, 2)) == pytest.approx(1.0, rel=1e-12)
-        assert pair_distance(record(2, 2, 2, 2), record(1, 5, 5, 5)) == pytest.approx(6.0, rel=1e-12)
-        assert pair_distance(record(3, 4, 4, 4), record(9, 4, 5, 9)) == 0.0
-
-    def test_non_negative(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n1, n2 = rng.randint(1, 50), rng.randint(1, 50)
-            a1, a2 = rng.uniform(0, 255), rng.uniform(0, 255)
-            assert pair_distance(record(n1, a1, 0, 0), record(n2, a2, 1, 1)) >= 0.0
-
-
-class TestFindMinPair:
-    def test_picks_smallest(self):
-        c = array_of(record(2, 1, 1, 1), record(2, 2, 2, 2), record(1, 5, 5, 5))
-        assert find_min_pair(c) == 0
-
-    def test_tie_goes_to_lowest_index(self):
-        c = array_of(record(1, 0, 0, 0), record(1, 1, 1, 1), record(1, 2, 2, 2))
-        assert find_min_pair(c) == 0
-
-    def test_single_class_raises(self):
-        with pytest.raises(SingleClass):
-            find_min_pair(array_of(record(5, 3, 3, 3)))
-
-
-class TestMergeStep:
-    def test_worked_example(self):
-        c = build_initial(EXAMPLE)
-        c1, rec = merge_step(c, 0.0, between_class_variance(c), step=1)
-        assert rec.left_index == 0
-        assert rec.boundary_gray == 1
-        assert rec.K_after == 2
-        assert rec.d_sq == pytest.approx(1.0, rel=1e-9)
-        assert rec.v == pytest.approx(1 / 3, rel=1e-9)
-        assert rec.w == pytest.approx(9.8, rel=1e-9)
-        assert rec.q == pytest.approx(1 / 29.4, rel=1e-9)
-        assert [(r.n, r.a, r.g_lo, r.g_hi) for r in c1.classes] == [
-            (4, 1.5, 1, 2),
-            (1, 5.0, 5, 5),
-        ]
-        assert c1.grand_mean == c.grand_mean
-        # the recursion must agree with naive recomputation on the new partition
-        v_naive, w_naive = naive_variances(c1, EXAMPLE)
-        assert rel_err(rec.v, v_naive) <= 1e-9
-        assert rel_err(rec.w, w_naive) <= 1e-9
-
-    def test_zero_distance_merge(self):
-        c = array_of(record(3, 4, 4, 4), record(9, 4, 5, 9))
-        c1, rec = merge_step(c, 0.0, 0.0)
-        assert rec.d_sq == 0.0
-        assert rec.v == 0.0
-        assert (c1.classes[0].n, c1.classes[0].a) == (12, 4.0)
-
-    def test_terminal_merge_drops_w(self):
-        c = array_of(record(1, 0, 0, 0), record(1, 255, 255, 255))
-        c1, rec = merge_step(c, 0.0, between_class_variance(c))
-        assert c1.K == 1
-        assert rec.w is None
-        assert rec.q is None
-
-    def test_single_class_raises(self):
-        with pytest.raises(SingleClass):
-            merge_step(array_of(record(5, 3, 3, 3)), 0.0, 0.0)
-
-
 class TestRunDendrogram:
     def test_worked_example_trace(self):
         trace = run_dendrogram(EXAMPLE)
         assert len(trace.records) == 2
+        # the cheapest pair is the first one, (1, 2), cut at gray 1
+        assert trace.records[0].left_index == 0
+        assert trace.records[0].boundary_gray == 1
         assert [r.d_sq for r in trace.records] == [
             pytest.approx(1.0, rel=1e-9),
             pytest.approx(9.8, rel=1e-9),
         ]
         assert trace.records[-1].v == pytest.approx(2.7, rel=1e-9)
         assert trace.records[-1].w is None
+        assert trace.records[-1].q is None
         assert [r.K_after for r in trace.records] == [2, 1]
         assert trace.ss_total == pytest.approx(10.8, rel=1e-12)
+
+    def test_tie_goes_to_lowest_index(self):
+        first = run_dendrogram(hist_from({0: 1, 1: 1, 2: 1})).records[0]
+        assert first.left_index == 0
+        assert first.boundary_gray == 0
 
     def test_single_class_histogram(self):
         trace = run_dendrogram(hist_from({7: 10}))
@@ -177,20 +103,6 @@ class TestRunDendrogram:
             run_dendrogram(EXAMPLE, stop_at=4)
         with pytest.raises(InvalidStop):
             run_dendrogram(EXAMPLE, stop_at=0)
-
-    def test_matches_iterated_merge_step_exactly(self):
-        rng = random.Random(23)
-        for _ in range(25):
-            h = sparse_histogram(rng)
-            trace = run_dendrogram(h)
-            c = build_initial(h)
-            v, w = 0.0, between_class_variance(c)
-            chained = []
-            for step in range(1, c.K):
-                c, rec = merge_step(c, v, w, step=step)
-                v, w = rec.v, rec.w
-                chained.append(rec)
-            assert tuple(chained) == trace.records
 
     def test_conservation_identity(self):
         rng = random.Random(31)
@@ -222,20 +134,6 @@ class TestRunDendrogram:
         trace = run_dendrogram(dense_histogram(random.Random(41), bins=64))
         ks = [trace.initial.K] + [r.K_after for r in trace.records]
         assert ks == list(range(64, 0, -1))
-
-    def test_grand_mean_invariant(self):
-        rng = random.Random(43)
-        for _ in range(10):
-            h = sparse_histogram(rng)
-            c = build_initial(h)
-            gm = c.grand_mean
-            v, w = 0.0, between_class_variance(c)
-            while c.K > 1:
-                c, rec = merge_step(c, v, w)
-                v, w = rec.v, rec.w
-                recomputed = sum(r.n * r.a for r in c.classes) / c.N
-                assert rel_err(recomputed, gm) <= 1e-12
-                assert c.grand_mean == gm
 
     def test_determinism(self):
         h = dense_histogram(random.Random(47), bins=128)

@@ -9,7 +9,6 @@ from histoseg.metrics import (
     BinaryMask,
     DimensionMismatch,
     GrayImage,
-    MetricsReport,
     RangeMismatch,
     cut_set_errors,
     foreground_of,
@@ -243,18 +242,3 @@ class TestForegroundOf:
         img = gray([0, 1], [2, 0])
         assert foreground_of(img).bits.tolist() == [[False, True], [True, False]]
         assert foreground_of(img, invert=True).bits.tolist() == [[True, False], [False, True]]
-
-
-class TestMetricsReport:
-    def test_to_dict_plain(self):
-        rep = MetricsReport(me=0.25, rae=0.5, mse=0.2, psnr_db=55.12)
-        assert rep.to_dict() == {"me": 0.25, "rae": 0.5, "mse": 0.2, "psnr_db": 55.12}
-
-    def test_to_dict_infinite_psnr_is_null(self):
-        rep = MetricsReport(me=0.0, rae=0.0, mse=0.0, psnr_db=math.inf)
-        assert rep.to_dict()["psnr_db"] is None
-
-    def test_to_dict_without_psnr(self):
-        rep = MetricsReport(me=0.0, rae=0.0)
-        d = rep.to_dict()
-        assert d["mse"] is None and d["psnr_db"] is None

@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from histoseg.engine import (
-    between_class_variance,
-    build_initial,
-    merge_step,
-    run_dendrogram,
-    thresholds_at,
-)
+from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
 from histoseg.oracle import (
     Infeasible,
     TooLarge,
@@ -22,11 +16,16 @@ from helpers import dense_histogram, hist_from, sparse_histogram
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 
 
+def identity_partition(h):
+    """The initial one-class-per-occupied-level partition, as a ThresholdSet."""
+    k0 = sum(1 for c in h.counts if c)
+    return thresholds_at(run_dendrogram(h, stop_at=k0), k0)
+
+
 class TestNaiveVariances:
     def test_post_merge_example(self):
-        c = build_initial(EXAMPLE)
-        c1, _ = merge_step(c, 0.0, between_class_variance(c))
-        v, w = naive_variances(c1, EXAMPLE)
+        t = thresholds_at(run_dendrogram(EXAMPLE), 2)
+        v, w = naive_variances(EXAMPLE, t)
         assert v == pytest.approx(1 / 3, rel=1e-12)
         assert w == pytest.approx(9.8, rel=1e-12)
 
@@ -34,28 +33,34 @@ class TestNaiveVariances:
         rng = random.Random(79)
         for _ in range(20):
             h = sparse_histogram(rng)
-            v, _ = naive_variances(build_initial(h), h)
+            v, _ = naive_variances(h, identity_partition(h))
             assert v == 0.0
 
     def test_single_class_flags_w(self):
-        c = build_initial(hist_from({7: 10}))
-        v, w = naive_variances(c, hist_from({7: 10}))
+        h = hist_from({7: 10})
+        v, w = naive_variances(h, identity_partition(h))
         assert v == 0.0
         assert w is None
 
     def test_too_large_guards(self):
         big = dense_histogram(random.Random(83), bins=65, max_count=2)
         with pytest.raises(TooLarge):
-            naive_variances(build_initial(big), big)
+            naive_variances(big, identity_partition(big))
         heavy = hist_from({0: 200_000, 1: 1})
         with pytest.raises(TooLarge):
-            naive_variances(build_initial(heavy), heavy)
+            naive_variances(heavy, identity_partition(heavy))
 
     def test_inconsistent_class_array(self):
-        c = build_initial(EXAMPLE)
-        other = hist_from({1: 3, 2: 2, 5: 1})
+        t = thresholds_at(run_dendrogram(EXAMPLE), 2)
+        # one more pixel at gray 1 moves the first class mean off 1.5
         with pytest.raises(ValueError):
-            naive_variances(c, other)
+            naive_variances(hist_from({1: 3, 2: 2, 5: 1}), t)
+        # the middle class (2, 3] holds no pixels
+        with pytest.raises(ValueError):
+            naive_variances(EXAMPLE, ThresholdSet(cuts=(2, 3), means=(1.5, 3.0, 5.0), top=5))
+        # the pixel at gray 5 lies above top
+        with pytest.raises(ValueError):
+            naive_variances(EXAMPLE, ThresholdSet(cuts=(), means=(1.5,), top=2))
 
 
 class TestExhaustiveOtsu:
