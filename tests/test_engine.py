@@ -67,20 +67,35 @@ class TestBuildInitial:
         assert sum(r.n for r in c.classes) == c.N
 
 
+class TestFindMinPair:
+    def test_picks_smallest(self):
+        # the cheapest pair of EXAMPLE is the first one, (1, 2), cut at gray 1
+        first = run_dendrogram(EXAMPLE).records[0]
+        assert first.left_index == 0
+        assert first.boundary_gray == 1
+        assert first.d_sq == pytest.approx(1.0, rel=1e-9)
+
+
+class TestMergeStep:
+    def test_terminal_merge_drops_w(self):
+        trace = run_dendrogram(hist_from({0: 1, 255: 1}))
+        assert len(trace.records) == 1
+        rec = trace.records[0]
+        assert rec.K_after == 1
+        assert rec.w is None
+        assert rec.q is None
+
+
 class TestRunDendrogram:
     def test_worked_example_trace(self):
         trace = run_dendrogram(EXAMPLE)
         assert len(trace.records) == 2
-        # the cheapest pair is the first one, (1, 2), cut at gray 1
-        assert trace.records[0].left_index == 0
-        assert trace.records[0].boundary_gray == 1
         assert [r.d_sq for r in trace.records] == [
             pytest.approx(1.0, rel=1e-9),
             pytest.approx(9.8, rel=1e-9),
         ]
         assert trace.records[-1].v == pytest.approx(2.7, rel=1e-9)
         assert trace.records[-1].w is None
-        assert trace.records[-1].q is None
         assert [r.K_after for r in trace.records] == [2, 1]
         assert trace.ss_total == pytest.approx(10.8, rel=1e-12)
 
