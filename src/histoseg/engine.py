@@ -260,7 +260,7 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     records: list[MergeRecord] = []
     k = k0
     while k > stop_at:
-        l = min(range(k - 1), key=d2.__getitem__)  # lowest index wins ties
+        l = d2.index(min(d2))  # lowest index wins ties
         d_sq = d2[l]
         boundary = ghis[l]
         ns[l] += ns[l + 1]

@@ -36,7 +36,7 @@ class GrayImage:
             raise ValueError("pixels must be integers")
         if int(px.min()) < 0 or int(px.max()) > 255:
             raise ValueError("pixel values must lie in [0, 255]")
-        object.__setattr__(self, "pixels", px.astype(np.uint8))
+        object.__setattr__(self, "pixels", px.astype(np.uint8, copy=False))
 
     @property
     def width(self) -> int:

@@ -1,11 +1,19 @@
 """Minimal Netpbm PGM codec (binary P5 and ASCII P2), 8-bit only."""
 
+import re
+
 import numpy as np
 
 from .engine import Histogram
 from .metrics import GrayImage
 
 _WS = b" \t\n\r\x0b\x0c"
+# Byte classes inside a P2 raster: 0 whitespace, 1 digit, 2 anything else.
+_P2_CLASS = np.full(256, 2, dtype=np.uint8)
+_P2_CLASS[list(_WS)] = 0
+_P2_CLASS[list(b"0123456789")] = 1
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_HIST_SLICE = 1 << 16
 
 
 class PgmError(ValueError):
@@ -48,13 +56,54 @@ def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
     return data[i:j], j
 
 
+def _decode_p2(payload: bytes, count: int) -> np.ndarray:
+    """The first `count` samples of a P2 raster, each ASCII decimal digits.
+
+    Tokens are split at _WS bytes and at '#' comments (to end of line), as
+    _next_token does; bytes after the last needed sample are ignored.  The
+    first non-digit token raises MalformedPayload even when samples run
+    short; TruncatedPayload means every token present was numeric.
+    """
+    if b"#" in payload:
+        payload = _COMMENT.sub(b" ", payload)
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    cls = _P2_CLASS.take(buf)
+    in_token = np.zeros(len(buf) + 2, dtype=bool)
+    np.not_equal(cls, 0, out=in_token[1:-1])
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    starts, ends = edges[0::2][:count], edges[1::2][:count]
+    if len(ends):
+        bad = np.flatnonzero(cls[: ends[-1]] == 2)
+        if len(bad):
+            i = np.searchsorted(starts, bad[0], side="right") - 1
+            raise MalformedPayload(f"non-numeric sample {payload[starts[i] : ends[i]]!r}")
+    if len(ends) < count:
+        raise TruncatedPayload(f"expected {count} samples, found {len(ends)}")
+
+    # Units, tens and hundreds digits, gathered back from each token's end;
+    # three leading pad bytes keep every index in range.
+    lens = ends - starts
+    digits = np.zeros(len(buf) + 3, dtype=np.int16)
+    np.subtract(buf, 48, out=digits[3:], dtype=np.int16)
+    last = ends + 2
+    values = digits[last]
+    values += np.where(lens > 1, digits[last - 1] * 10, 0)
+    values += np.where(lens > 2, digits[last - 2] * 100, 0)
+    # A longer token is in range only if all but its last three digits are 0.
+    for i in np.flatnonzero(lens > 3):
+        if payload[starts[i] : ends[i] - 3].strip(b"0"):
+            raise MalformedPayload("sample outside [0, maxval]")
+    return values
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Decode P5 (binary) or P2 (ASCII) PGM bytes into a GrayImage.
 
     '#' comments may appear anywhere in the header.  For P5 the raster
     must start exactly one whitespace byte after the maxval token, so
-    raster bytes that happen to look like whitespace survive.  A maxval
-    below 255 is accepted as-is; samples are never rescaled.
+    raster bytes that happen to look like whitespace survive.  Header
+    fields and P2 samples must be ASCII decimal digits (no sign, no '_').
+    A maxval below 255 is accepted as-is; samples are never rescaled.
     """
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
@@ -63,6 +112,8 @@ def read_pgm(data: bytes) -> GrayImage:
     for name in ("width", "height", "maxval"):
         tok, pos = _next_token(data, pos)
         try:
+            if not tok.isdigit():  # int() would also take a sign or '_'
+                raise ValueError
             fields.append(int(tok))
         except ValueError:
             raise MalformedHeader(f"non-numeric {name} token {tok!r}") from None
@@ -83,20 +134,7 @@ def read_pgm(data: bytes) -> GrayImage:
             raise TruncatedPayload(f"expected {expected} bytes, found {len(raster)}")
         px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     else:
-        samples = []
-        i = pos
-        while len(samples) < expected:
-            try:
-                tok, i = _next_token(data, i)
-            except MalformedHeader:
-                raise TruncatedPayload(
-                    f"expected {expected} samples, found {len(samples)}"
-                ) from None
-            try:
-                samples.append(int(tok))
-            except ValueError:
-                raise MalformedPayload(f"non-numeric sample {tok!r}") from None
-        px = np.array(samples, dtype=np.int64).reshape(height, width)
+        px = _decode_p2(data[pos:], expected).reshape(height, width)
 
     if int(px.max()) > maxval or int(px.min()) < 0:
         raise MalformedPayload("sample outside [0, maxval]")
@@ -118,5 +156,9 @@ def write_pgm(img: GrayImage, fmt: str = "P5") -> bytes:
 
 def histogram_of(img: GrayImage) -> Histogram:
     """256-bin gray-level occurrence counts; total equals width * height."""
-    counts = np.bincount(img.pixels.ravel(), minlength=256)
+    # bincount widens its input to int64; slicing bounds that temporary.
+    flat = img.pixels.ravel()
+    counts = np.zeros(256, dtype=np.int64)
+    for i in range(0, flat.size, _HIST_SLICE):
+        counts += np.bincount(flat[i : i + _HIST_SLICE], minlength=256)
     return Histogram(tuple(int(c) for c in counts))

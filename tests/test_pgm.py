@@ -1,3 +1,6 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from histoseg.metrics import GrayImage
 from histoseg.pgm import (
     MalformedHeader,
     MalformedPayload,
+    PgmError,
     TruncatedPayload,
     UnsupportedMaxval,
     histogram_of,
@@ -14,6 +18,67 @@ from histoseg.pgm import (
 
 P5_MINIMAL = b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 P2_MINIMAL = b"P2\n2 2\n255\n0 128\n128 255\n"
+WS = b" \t\n\r\x0b\x0c"
+MUTATION_BYTES = b"0123456789 +-_#\n"
+
+
+def reference_samples(payload: bytes, count: int) -> list[int]:
+    """Token-by-token P2 sample reading, the loop that read_pgm vectorizes."""
+    tokens = re.sub(rb"#[^\r\n]*", b" ", payload).split()
+    for tok in tokens[:count]:
+        if not tok.isdigit():
+            raise MalformedPayload(tok)
+    if len(tokens) < count:
+        raise TruncatedPayload(len(tokens))
+    return [int(tok) for tok in tokens[:count]]
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    """Apply 1-4 byte flips, deletions or inserts drawn from MUTATION_BYTES."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(out) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(out):
+            out[i] = rng.choice(MUTATION_BYTES)
+        elif op == 1 and i < len(out):
+            del out[i]
+        else:
+            out.insert(i, rng.choice(MUTATION_BYTES))
+    return bytes(out)
+
+
+def random_image(rng: random.Random) -> GrayImage:
+    h, w = rng.randint(1, 7), rng.randint(1, 7)
+    return GrayImage(pixels=np.array([[rng.randrange(256) for _ in range(w)] for _ in range(h)]))
+
+
+def loose_join(rng: random.Random, tokens: list[bytes]) -> bytes:
+    """Tokens separated by mixed whitespace runs and '#' comments."""
+    out = b""
+    for tok in tokens:
+        pick = rng.randrange(4)
+        if pick == 0:
+            sep = bytes(rng.choice(WS) for _ in range(rng.randint(1, 4)))
+        elif pick == 1:  # a comment line between tokens
+            sep = b" # note 1 2" + rng.choice([b"\n", b"\r"])
+        elif pick == 2:  # '#' directly after a digit ends the token
+            sep = b"#x 9\n"
+        else:
+            sep = bytes([rng.choice(WS)])
+        out += tok + sep
+    return out
+
+
+def loose_samples(rng: random.Random, img: GrayImage) -> list[bytes]:
+    """Sample tokens of img, some with leading zeros."""
+    return [b"0" * rng.choice([0, 0, 0, 1, 3]) + str(v).encode() for v in img.pixels.ravel().tolist()]
+
+
+def loose_p2(rng: random.Random, img: GrayImage) -> bytes:
+    """A valid P2 encoding of img in the loose layout loose_join gives."""
+    header = [b"P2", str(img.width).encode(), str(img.height).encode(), b"255"]
+    return loose_join(rng, header + loose_samples(rng, img))
 
 
 class TestReadPgm:
@@ -85,6 +150,79 @@ class TestReadPgm:
         with pytest.raises(MalformedPayload):
             read_pgm(b"P2\n2 1\n255\nxyz 7\n")
 
+    def test_signed_or_underscored_header_tokens(self):
+        with pytest.raises(MalformedHeader, match="width"):
+            read_pgm(b"P2 1_0 1 +255 1 2 3 4 5 6 7 8 9 10\n")
+        with pytest.raises(MalformedHeader, match="width"):
+            read_pgm(b"P5 +2 2 255\n" + bytes(4))
+
+    def test_non_ascii_digit_header_token(self):
+        with pytest.raises(MalformedHeader, match="maxval"):
+            read_pgm("P5 2 2 \uff12\uff15\uff15\n".encode() + bytes(4))
+
+    @pytest.mark.parametrize("tok", [b"+5", b"1_0", b"-0"])
+    def test_sample_tokens_must_be_digits(self, tok):
+        with pytest.raises(MalformedPayload, match=re.escape(repr(tok))):
+            read_pgm(b"P2\n2 1\n255\n7 " + tok + b"\n")
+
+    def test_leading_zeros_and_long_samples(self):
+        assert read_pgm(b"P2 3 1 255 000255 0000 007\n").pixels.tolist() == [[255, 0, 7]]
+        with pytest.raises(MalformedPayload):
+            read_pgm(b"P2 2 1 255 0 0001000\n")
+        with pytest.raises(MalformedPayload):
+            read_pgm(b"P2 1 1 255 " + b"9" * 5000 + b"\n")
+
+    def test_bytes_after_last_sample_ignored(self):
+        assert read_pgm(b"P2 2 1 9 1#c\n2 x +3 -4").pixels.tolist() == [[1, 2]]
+
+    def test_non_numeric_sample_precedes_truncation(self):
+        # Same shortfall as test_truncated_p2, but a token is not a number.
+        with pytest.raises(MalformedPayload, match="b'x'"):
+            read_pgm(b"P2\n2 2\n255\nx 1\n")
+
+
+class TestReadPgmProperties:
+    """Seeded property tests of the reader's input boundary."""
+
+    def test_mutated_files_raise_only_pgm_errors(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            img = random_image(rng)
+            encode = rng.choice([lambda: write_pgm(img, "P5"), lambda: write_pgm(img, "P2"),
+                                 lambda: loose_p2(rng, img)])
+            data = mutate(rng, encode())
+            try:
+                read_pgm(data)
+            except PgmError:
+                pass
+
+    def test_mutated_p2_payload_matches_token_loop(self):
+        rng = random.Random(20261019)
+        header = b"P2\n5 4\n200\n"
+        for _ in range(2000):
+            img = GrayImage(pixels=np.array([[rng.randrange(256) for _ in range(5)] for _ in range(4)]))
+            payload = mutate(rng, loose_join(rng, loose_samples(rng, img)))
+            try:
+                want = reference_samples(payload, 20)
+            except PgmError as e:
+                with pytest.raises(type(e)):
+                    read_pgm(header + payload)
+                continue
+            if max(want) > 200:
+                with pytest.raises(MalformedPayload):
+                    read_pgm(header + payload)
+            else:
+                assert read_pgm(header + payload).pixels.ravel().tolist() == want
+
+    def test_loose_p2_encodings_match_p5(self):
+        rng = random.Random(20261020)
+        for _ in range(500):
+            img = random_image(rng)
+            data = loose_p2(rng, img)
+            want = read_pgm(write_pgm(img, "P5")).pixels
+            got = read_pgm(data).pixels
+            assert got.dtype == want.dtype and np.array_equal(got, want), data
+
 
 class TestWritePgm:
     def test_round_trip_random_images(self):
@@ -135,3 +273,9 @@ class TestHistogramOf:
             shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
             img = GrayImage(pixels=rng.integers(0, 256, size=shape))
             assert histogram_of(img).N == img.width * img.height
+
+    def test_counts_span_several_slices(self):
+        rng = np.random.default_rng(109)
+        img = GrayImage(pixels=rng.integers(0, 256, size=(331, 1001), dtype=np.uint8))
+        want = np.bincount(img.pixels.ravel().astype(np.int64), minlength=256)
+        assert histogram_of(img).counts == tuple(want.tolist())
