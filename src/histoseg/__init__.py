@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .engine import (
     EmptyHistogram,
     InvalidLevel,
-    InvalidStop,
     MergeTrace,
     histogram_from_csv,
     histogram_from_json,
@@ -28,7 +27,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyHistogram",
     "InvalidLevel",
-    "InvalidStop",
     "MergeTrace",
     "PgmError",
     "RangeMismatch",

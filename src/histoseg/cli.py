@@ -24,7 +24,7 @@ from .metrics import (
     quantize,
     relative_area_error,
 )
-from .oracle import Infeasible, TooLarge, exhaustive_otsu, within_class_scatter
+from .oracle import TooLarge, exhaustive_otsu, within_class_scatter
 from .pgm import PgmError, histogram_of, read_pgm, write_pgm
 
 
@@ -37,7 +37,6 @@ EXIT_CODES = {
     OSError: 2,
     PgmError: 2,
     InvalidLevel: 3,
-    Infeasible: 3,
     DimensionMismatch: 4,
     TooLarge: 5,
     SelfCheckFailed: 1,
@@ -51,14 +50,6 @@ def _load_image(path: str):
         return read_pgm(data)
     except PgmError as exc:
         raise PgmError(f"cannot read {path}: {exc}") from exc
-
-
-def _check_levels(h, most: int) -> None:
-    distinct = sum(1 for c in h.counts if c)
-    if most > distinct:
-        raise InvalidLevel(
-            f"requested {most} classes but image has only {distinct} distinct gray levels"
-        )
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -104,14 +95,14 @@ def _cmd_threshold(args) -> dict:
     read_s = time.perf_counter() - t0
 
     h = histogram_of(img)
-    _check_levels(h, args.levels)
 
     t0 = time.perf_counter()
-    trace = run_dendrogram(h, stop_at=args.levels)
+    trace = run_dendrogram(h)
     merge_s = time.perf_counter() - t0
-    tset = thresholds_at(trace, args.levels)
-    if trace.records:
-        last = trace.records[-1]
+    tset = thresholds_at(trace, args.levels)  # rejects a level the histogram lacks
+    merges = trace.initial.K - args.levels
+    if merges:
+        last = trace.records[merges - 1]
         v, w, q = last.v, last.w, last.q
     else:
         v = 0.0
@@ -161,7 +152,6 @@ def _cmd_sweep(args) -> dict:
 
     levels = sorted(set(args.levels_list))
     h = histogram_of(img)
-    _check_levels(h, levels[-1])
 
     t0 = time.perf_counter()
     trace = run_dendrogram(h)  # one pass serves every requested level
@@ -218,7 +208,7 @@ def _cmd_oracle(args) -> dict:
     h = histogram_of(img)
     oracle_t = exhaustive_otsu(h, args.levels)
 
-    trace = run_dendrogram(h, stop_at=args.levels)
+    trace = run_dendrogram(h)
     engine_t = thresholds_at(trace, args.levels)
     oracle_scatter = within_class_scatter(h, oracle_t)
     engine_scatter = within_class_scatter(h, engine_t)

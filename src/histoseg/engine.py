@@ -3,9 +3,9 @@
 The engine starts from one class per occupied gray level and repeatedly
 merges the adjacent pair whose pooled squared-mean gap is smallest,
 tracking unbiased within-class and between-class variance estimates with
-O(1) updates per merge.  One full run costs O(K0^2) for K0 initial
-classes and records enough to reconstruct the partition for every class
-count reached.
+O(1) updates per merge.  One run costs O(K0^2) for K0 initial classes
+and records enough to reconstruct the partition for every class count
+from K0 down to 1.
 """
 
 import json
@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 class EmptyHistogram(ValueError):
     """The histogram holds zero pixels."""
-
-
-class InvalidStop(ValueError):
-    """Requested stop level lies outside [1, K0]."""
 
 
 class InvalidLevel(ValueError):
@@ -232,18 +228,16 @@ def _pair_d_sq(n1: int, a1: float, n2: int, a2: float) -> float:
     return n1 * n2 / (n1 + n2) * (diff * diff)
 
 
-def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
-    """Merge down to `stop_at` classes, recording every step.
+def run_dendrogram(h: Histogram) -> MergeTrace:
+    """Merge down to one class, recording every step.
 
-    The default records the complete hierarchy, from which any class
-    count >= stop_at can be reconstructed with thresholds_at().  Only the
-    two pair distances touching a merge are recomputed per step and the
-    minimum search is a linear scan, so a full run is O(K0^2).
+    The trace holds the complete hierarchy, from which any class count
+    from 1 to K0 can be reconstructed with thresholds_at().  Only the two
+    pair distances touching a merge are recomputed per step and the
+    minimum search is a linear scan, so a run is O(K0^2).
     """
     initial = build_initial(h)
     k0 = initial.K
-    if not 1 <= stop_at <= k0:
-        raise InvalidStop(f"stop_at={stop_at} outside [1, {k0}]")
 
     gm = initial.grand_mean
     ss_total = math.fsum(cnt * (g - gm) ** 2 for g, cnt in enumerate(h.counts) if cnt)
@@ -259,7 +253,7 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     w = between_class_variance(initial)
     records: list[MergeRecord] = []
     k = k0
-    while k > stop_at:
+    while k > 1:
         l = d2.index(min(d2))  # lowest index wins ties
         d_sq = d2[l]
         boundary = ghis[l]
@@ -298,12 +292,21 @@ def run_dendrogram(h: Histogram, stop_at: int = 1) -> MergeTrace:
     return MergeTrace(G=h.G, initial=initial, records=tuple(records), ss_total=ss_total)
 
 
+def check_level(m: int, k0: int) -> None:
+    """Raise InvalidLevel unless K0 occupied gray levels can form m classes."""
+    if m < 1:
+        raise InvalidLevel(f"need at least one class, got m={m}")
+    if m > k0:
+        raise InvalidLevel(
+            f"requested {m} classes but the histogram has only {k0} occupied gray levels"
+        )
+
+
 def thresholds_at(trace: MergeTrace, m: int) -> ThresholdSet:
     """Partition with exactly m classes, replayed from the trace.
 
-    Valid m runs from the class count the trace stopped at up to K0.
-    Cut points are the inclusive upper gray bounds of all classes but the
-    last.
+    Valid m runs from 1 to K0.  Cut points are the inclusive upper gray
+    bounds of all classes but the last.
     """
     return thresholds_at_levels(trace, [m])[0]
 
@@ -317,10 +320,8 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
     """
     levels = list(levels)
     k0 = trace.initial.K
-    k_final = k0 - len(trace.records)
     for m in levels:
-        if not k_final <= m <= k0:
-            raise InvalidLevel(f"m={m} not in [{k_final}, {k0}] for this trace")
+        check_level(m, k0)
     ns = [c.n for c in trace.initial.classes]
     sums = [c.gray_sum for c in trace.initial.classes]
     ghis = [c.g_hi for c in trace.initial.classes]

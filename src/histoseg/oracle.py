@@ -8,7 +8,7 @@ the two routes stay independent checks of each other.
 import itertools
 import math
 
-from .engine import Histogram, ThresholdSet
+from .engine import EmptyHistogram, Histogram, InvalidLevel, ThresholdSet, check_level
 from .metrics import cut_set_errors
 
 MAX_ORACLE_BINS = 64
@@ -18,10 +18,6 @@ MAX_COMBINATIONS = 10_000_000
 
 class TooLarge(ValueError):
     """Input exceeds the brute-force size guards."""
-
-
-class Infeasible(ValueError):
-    """Fewer occupied gray levels than requested classes."""
 
 
 def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
@@ -84,20 +80,21 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     canonical.  Maximizes the size-weighted scatter of class means about
     the grand mean; exact ties keep the lexicographically smallest cut
     set (combinations enumerate in lexicographic order and only strict
-    improvements replace the incumbent).
+    improvements replace the incumbent).  Raises InvalidLevel when m < 2
+    or fewer than m levels are occupied, EmptyHistogram for no pixels and
+    TooLarge when the comb(K0 - 1, m - 1) cut sets exceed MAX_COMBINATIONS.
     """
     if m < 2:
-        raise Infeasible(f"need at least two classes, got m={m}")
+        raise InvalidLevel(f"need at least two classes, got m={m}")
     if h.N == 0:
-        raise Infeasible("histogram holds no pixels")
+        raise EmptyHistogram("histogram holds no pixels")
     occupied = [g for g, cnt in enumerate(h.counts) if cnt]
-    if len(occupied) < m:
-        raise Infeasible(
-            f"{len(occupied)} occupied gray levels cannot form {m} classes"
-        )
-    if math.comb(h.G, m - 1) > MAX_COMBINATIONS:
+    check_level(m, len(occupied))
+    searched = math.comb(len(occupied) - 1, m - 1)
+    if searched > MAX_COMBINATIONS:
         raise TooLarge(
-            f"search space comb({h.G}, {m - 1}) exceeds {MAX_COMBINATIONS}"
+            f"search space comb({len(occupied) - 1}, {m - 1}) = {searched}"
+            f" exceeds {MAX_COMBINATIONS}"
         )
 
     cum_n, cum_s = _prefix_sums(h)

@@ -6,11 +6,12 @@ import pytest
 import histoseg.cli
 import histoseg.metrics
 from histoseg.cli import main
-from histoseg.engine import ThresholdSet
+from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
 from histoseg.metrics import GrayImage
-from histoseg.pgm import read_pgm, write_pgm
+from histoseg.oracle import naive_variances
+from histoseg.pgm import histogram_of, read_pgm, write_pgm
 
-from helpers import standard_image
+from helpers import rel_err, small_image, standard_image
 
 
 def save_pgm(path, rows):
@@ -48,6 +49,34 @@ class TestThreshold:
         assert data["q"] == pytest.approx(1 / 29.4, rel=1e-9)
         assert data["metrics"]["mse"] == pytest.approx(0.2, rel=1e-9)
         assert read_pgm(out.read_bytes()).pixels.tolist() == [[2, 2, 2, 2, 5]]
+
+    def test_all_levels_kept_reports_initial_variances(self, tmp_path, five_pixel_image):
+        report = tmp_path / "report.json"
+        assert main(["threshold", five_pixel_image, "--levels", "3",
+                     "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["thresholds"] == [1, 2]
+        assert (data["v"], data["w"], data["q"]) == (0.0, 5.4, 0.0)
+        assert data["metrics"]["mse"] == 0.0
+        assert data["metrics"]["psnr_db"] is None
+
+    def test_variances_match_naive_recomputation(self, tmp_path):
+        rng = np.random.default_rng(61)
+        for i in range(3):
+            img = small_image(rng)
+            path = tmp_path / f"img{i}.pgm"
+            path.write_bytes(write_pgm(img))
+            h = histogram_of(img)
+            trace = run_dendrogram(h)
+            report = tmp_path / "report.json"
+            for m in range(2, trace.initial.K + 1):
+                assert main(["threshold", str(path), "--levels", str(m),
+                             "--report", str(report)]) == 0
+                data = json.loads(report.read_text())
+                v, w = naive_variances(h, thresholds_at(trace, m))
+                assert rel_err(data["v"], v) <= 1e-9
+                assert rel_err(data["w"], w) <= 1e-9
+                assert rel_err(data["q"], v / w) <= 1e-9
 
     def test_report_to_stdout(self, five_pixel_image, capsys):
         assert main(["threshold", five_pixel_image, "--levels", "2"]) == 0
@@ -139,6 +168,18 @@ def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
     for name in commands:
         assert _without_timings(tmp_path / f"{name}-guarded.json") == _without_timings(
             tmp_path / f"{name}-plain.json")
+
+
+def test_too_many_levels_same_message_everywhere(five_pixel_image, capsys):
+    texts = []
+    for argv in (["threshold", five_pixel_image, "--levels", "4"],
+                 ["sweep", five_pixel_image, "--levels-list", "2,4"],
+                 ["oracle", five_pixel_image, "--levels", "4"]):
+        assert main(argv) == 3
+        texts.append(capsys.readouterr().err)
+    assert texts == [
+        "E: requested 4 classes but the histogram has only 3 occupied gray levels\n"
+    ] * 3
 
 
 class TestSweep:

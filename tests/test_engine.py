@@ -8,7 +8,6 @@ from histoseg.engine import (
     EmptyHistogram,
     Histogram,
     InvalidLevel,
-    InvalidStop,
     between_class_variance,
     build_initial,
     histogram_from_csv,
@@ -108,17 +107,6 @@ class TestRunDendrogram:
         trace = run_dendrogram(hist_from({7: 10}))
         assert trace.records == ()
 
-    def test_stop_at_initial_count_is_noop(self):
-        trace = run_dendrogram(EXAMPLE, stop_at=3)
-        assert trace.records == ()
-        assert trace.initial.K == 3
-
-    def test_invalid_stop(self):
-        with pytest.raises(InvalidStop):
-            run_dendrogram(EXAMPLE, stop_at=4)
-        with pytest.raises(InvalidStop):
-            run_dendrogram(EXAMPLE, stop_at=0)
-
     def test_conservation_identity(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -177,16 +165,13 @@ class TestThresholdsAt:
 
     def test_invalid_level(self):
         trace = run_dendrogram(EXAMPLE)
-        with pytest.raises(InvalidLevel):
+        with pytest.raises(InvalidLevel) as excinfo:
             thresholds_at(trace, 4)
+        assert str(excinfo.value) == (
+            "requested 4 classes but the histogram has only 3 occupied gray levels"
+        )
         with pytest.raises(InvalidLevel):
             thresholds_at(trace, 0)
-
-    def test_partial_trace_rejects_finer_levels(self):
-        trace = run_dendrogram(EXAMPLE, stop_at=2)
-        assert thresholds_at(trace, 2).cuts == (2,)
-        with pytest.raises(InvalidLevel):
-            thresholds_at(trace, 1)
 
     def test_refinement_nesting(self):
         rng = random.Random(53)
@@ -206,9 +191,8 @@ class TestThresholdsAtLevels:
         for _ in range(40):
             h = sparse_histogram(rng, max_bins=16)
             k0 = sum(1 for c in h.counts if c)
-            trace = run_dendrogram(h, stop_at=rng.randint(1, k0))
-            k_final = k0 - len(trace.records)
-            levels = list(range(k_final, k0 + 1))
+            trace = run_dendrogram(h)
+            levels = list(range(1, k0 + 1))
             assert thresholds_at_levels(trace, levels) == [
                 thresholds_at(trace, m) for m in levels
             ]
@@ -225,9 +209,9 @@ class TestThresholdsAtLevels:
         assert cuts == [(2,), (1, 2), (), (2,), (1, 2)]
 
     def test_invalid_level(self):
-        trace = run_dendrogram(EXAMPLE, stop_at=2)
+        trace = run_dendrogram(EXAMPLE)
         with pytest.raises(InvalidLevel):
-            thresholds_at_levels(trace, [2, 1])
+            thresholds_at_levels(trace, [2, 0])
         with pytest.raises(InvalidLevel):
             thresholds_at_levels(trace, [4])
 

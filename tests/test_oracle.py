@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
+from histoseg.engine import (
+    EmptyHistogram,
+    Histogram,
+    InvalidLevel,
+    ThresholdSet,
+    run_dendrogram,
+    thresholds_at,
+)
 from histoseg.oracle import (
-    Infeasible,
     TooLarge,
     exhaustive_otsu,
     naive_variances,
@@ -19,7 +25,7 @@ EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 def identity_partition(h):
     """The initial one-class-per-occupied-level partition, as a ThresholdSet."""
     k0 = sum(1 for c in h.counts if c)
-    return thresholds_at(run_dendrogram(h, stop_at=k0), k0)
+    return thresholds_at(run_dendrogram(h), k0)
 
 
 class TestNaiveVariances:
@@ -88,14 +94,20 @@ class TestExhaustiveOtsu:
 
     def test_guard_trips(self):
         h = dense_histogram(random.Random(89), bins=256)
-        with pytest.raises(TooLarge):
+        # the message counts the cut sets searched over the 256 occupied levels
+        with pytest.raises(TooLarge, match=r"comb\(255, 4\) = 172061505 "):
             exhaustive_otsu(h, 5)
 
     def test_infeasible(self):
-        with pytest.raises(Infeasible):
+        with pytest.raises(InvalidLevel) as excinfo:
             exhaustive_otsu(EXAMPLE, 4)
-        with pytest.raises(Infeasible):
+        assert str(excinfo.value) == (
+            "requested 4 classes but the histogram has only 3 occupied gray levels"
+        )
+        with pytest.raises(InvalidLevel):
             exhaustive_otsu(EXAMPLE, 1)
+        with pytest.raises(EmptyHistogram):
+            exhaustive_otsu(Histogram((0,) * 256), 2)
 
     def test_never_beaten_by_engine(self):
         rng = random.Random(97)
@@ -104,7 +116,7 @@ class TestExhaustiveOtsu:
             h = sparse_histogram(rng, max_bins=10, max_pixels=60)
             k0 = sum(1 for c in h.counts if c)
             trace = run_dendrogram(h)
-            for m in (2, 3, 4):
+            for m in range(2, 9):
                 if m > k0:
                     continue
                 oracle_scatter = within_class_scatter(h, exhaustive_otsu(h, m))
