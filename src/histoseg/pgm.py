@@ -138,8 +138,9 @@ def read_pgm(data: bytes) -> GrayImage:
     else:
         px = _decode_p2(data[pos:], expected).reshape(height, width)
 
-    # Neither decode can yield a negative sample, so only the top is checked.
-    if int(px.max()) > maxval:
+    # Neither decode can yield a negative sample, so only the top is checked,
+    # and not at all when the dtype holds nothing above maxval (P5 at 255).
+    if maxval < np.iinfo(px.dtype).max and int(px.max()) > maxval:
         raise MalformedPayload("sample outside [0, maxval]")
     return GrayImage(pixels=px)
 
@@ -150,7 +151,8 @@ def write_pgm(img: GrayImage, fmt: str = "P5") -> bytes:
         raise ValueError(f"format must be 'P5' or 'P2', got {fmt!r}")
     header = f"{fmt}\n{img.width} {img.height}\n255\n".encode("ascii")
     if fmt == "P5":
-        return header + img.pixels.tobytes()
+        # One copy of the raster; header + tobytes() would make two.
+        return b"".join((header, np.ascontiguousarray(img.pixels).data))
     # keep lines under the customary 70-character limit
     flat = [str(v) for v in img.pixels.ravel().tolist()]
     lines = [" ".join(flat[i : i + 17]) for i in range(0, len(flat), 17)]

@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from histoseg.engine import EmptyHistogram, ThresholdSet, run_dendrogram, thresholds_at
+from histoseg.engine import (
+    EmptyHistogram,
+    ThresholdSet,
+    run_dendrogram,
+    thresholds_at,
+    thresholds_at_levels,
+)
 from histoseg.metrics import (
     BinaryMask,
     DimensionMismatch,
@@ -84,6 +90,26 @@ class TestQuantize:
                 once = quantize(img, t)
                 twice = quantize(once, t)
                 assert np.array_equal(once.pixels, twice.pixels)
+
+    def test_matches_rounded_mean_lookup(self):
+        # Reference: the rounded means indexed by each pixel's class, in NumPy.
+        rng = np.random.default_rng(20261018)
+        shapes = [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(12)]
+        images = [standard_image(128)] + [
+            GrayImage(pixels=rng.integers(0, 256, size=shape)) for shape in shapes
+        ]
+        for img in images:
+            trace = run_dendrogram(histogram_of(img))
+            tsets = thresholds_at_levels(trace, range(1, trace.initial.K + 1))
+            for px in (img.pixels, img.pixels.T, img.pixels[:, ::-1]):
+                view = GrayImage(pixels=px)
+                for t in tsets:
+                    classes = np.searchsorted(np.array(t.cuts, dtype=np.int64), px)
+                    want = np.floor(np.asarray(t.means) + 0.5).astype(np.uint8)[classes]
+                    got = quantize(view, t)
+                    assert isinstance(got, GrayImage)
+                    assert got.pixels.dtype == np.uint8 and got.pixels.shape == px.shape
+                    assert got.pixels.tobytes() == want.tobytes()
 
     def test_map_to_class_means_is_real_valued(self):
         img = gray([1, 1, 2, 2, 5])

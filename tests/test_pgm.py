@@ -144,6 +144,14 @@ class TestReadPgm:
         with pytest.raises(MalformedPayload):
             read_pgm(b"P5\n2 1\n100\n" + bytes([10, 101]))
 
+    def test_p5_sample_above_small_maxval(self):
+        # A P5 sample can exceed maxval only when maxval is below 255.
+        for maxval in (1, 100, 254):
+            header = b"P5\n2 1\n%d\n" % maxval
+            with pytest.raises(MalformedPayload):
+                read_pgm(header + bytes([0, maxval + 1]))
+            assert read_pgm(header + bytes([0, maxval])).pixels.tolist() == [[0, maxval]]
+
     def test_negative_or_garbage_sample(self):
         with pytest.raises(MalformedPayload):
             read_pgm(b"P2\n2 1\n255\n-3 7\n")
@@ -233,6 +241,17 @@ class TestWritePgm:
                 img = GrayImage(pixels=rng.integers(0, 256, size=shape))
                 back = read_pgm(write_pgm(img, fmt))
                 assert np.array_equal(back.pixels, img.pixels)
+
+    def test_p5_non_contiguous_round_trip(self):
+        px = np.random.default_rng(107).integers(0, 256, size=(5, 9)).astype(np.uint8)
+        for view in (px.T, px[:, ::-1], px[::2, 1::3]):
+            img = GrayImage(pixels=view)
+            assert not img.pixels.flags.c_contiguous
+            data = write_pgm(img)
+            header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+            assert data.startswith(header)
+            assert len(data) == len(header) + img.width * img.height
+            assert np.array_equal(read_pgm(data).pixels, view)
 
     def test_minimal_single_pixel(self):
         img = GrayImage(pixels=np.zeros((1, 1), dtype=np.uint8))
