@@ -10,10 +10,10 @@ from . import __version__
 from .bench import run_benchmark
 from .engine import (
     InvalidLevel,
-    between_class_variance,
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
+    variances_at,
 )
 from .metrics import (
     DimensionMismatch,
@@ -100,14 +100,7 @@ def _cmd_threshold(args) -> dict:
     trace = run_dendrogram(h)
     merge_s = time.perf_counter() - t0
     tset = thresholds_at(trace, args.levels)  # rejects a level the histogram lacks
-    merges = trace.initial.K - args.levels
-    if merges:
-        last = trace.records[merges - 1]
-        v, w, q = last.v, last.w, last.q
-    else:
-        v = 0.0
-        w = between_class_variance(trace.initial)
-        q = v / w if w else None
+    v, w, q = variances_at(trace, args.levels)
 
     t0 = time.perf_counter()
     [((mse, psnr_real), (mse_rounded, psnr_rounded))] = histogram_psnr(h, [tset])
@@ -118,8 +111,8 @@ def _cmd_threshold(args) -> dict:
 
     foreground_area = None
     if args.levels == 2:
-        above = sum(h.counts[tset.cuts[0] + 1 :])
-        foreground_area = above if args.polarity == "above" else h.N - above
+        below = h.running_sums[0][tset.cuts[0] + 1]
+        foreground_area = h.N - below if args.polarity == "above" else below
 
     return {
         "input": args.image,

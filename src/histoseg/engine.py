@@ -3,15 +3,17 @@
 The engine starts from one class per occupied gray level and repeatedly
 merges the adjacent pair whose pooled squared-mean gap is smallest,
 tracking unbiased within-class and between-class variance estimates with
-O(1) updates per merge.  One run costs O(K0^2) for K0 initial classes
-and records enough to reconstruct the partition for every class count
-from K0 down to 1.
+O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
+the only code that applies merges; the partition for any class count is
+read straight off its trace, with class sums from Histogram.running_sums.
 """
 
 import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 
 class EmptyHistogram(ValueError):
@@ -41,6 +43,17 @@ class Histogram:
     @property
     def N(self) -> int:
         return sum(self.counts)
+
+    @cached_property
+    def running_sums(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Exact running sums (cn, c1, c2) of c, g*c and g*g*c, each from 0.
+
+        Gray levels lo..hi hold cn[hi + 1] - cn[lo] pixels; c1 and c2 work alike.
+        """
+        cn = (0, *accumulate(self.counts))
+        c1 = (0, *accumulate(g * c for g, c in enumerate(self.counts)))
+        c2 = (0, *accumulate(g * g * c for g, c in enumerate(self.counts)))
+        return cn, c1, c2
 
 
 def histogram_from_json(text: str) -> Histogram:
@@ -135,10 +148,14 @@ class MergeRecord:
 class MergeTrace:
     """Complete record of a merge run, from the initial classes down."""
 
-    G: int
+    histogram: Histogram
     initial: ClassArray
     records: tuple[MergeRecord, ...]
     ss_total: float
+
+    @property
+    def G(self) -> int:
+        return self.histogram.G
 
     def to_dict(self) -> dict:
         merges = []
@@ -197,16 +214,13 @@ class ThresholdSet:
 
 def build_initial(h: Histogram) -> ClassArray:
     """One class per occupied gray level; empty bins are dropped outright."""
-    n_total = h.N
-    if n_total == 0:
+    cn, c1, _ = h.running_sums
+    if cn[-1] == 0:
         raise EmptyHistogram("histogram holds no pixels")
-    classes = []
-    total = 0
-    for g, c in enumerate(h.counts):
-        if c:
-            classes.append(ClassRecord(n=c, g_lo=g, g_hi=g, gray_sum=c * g))
-            total += c * g
-    return ClassArray(classes=tuple(classes), grand_mean=total / n_total, N=n_total)
+    classes = tuple(
+        ClassRecord(n=c, g_lo=g, g_hi=g, gray_sum=c * g) for g, c in enumerate(h.counts) if c
+    )
+    return ClassArray(classes=classes, grand_mean=c1[-1] / cn[-1], N=cn[-1])
 
 
 def between_class_variance(c: ClassArray) -> float | None:
@@ -289,7 +303,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
                 K_after=k,
             )
         )
-    return MergeTrace(G=h.G, initial=initial, records=tuple(records), ss_total=ss_total)
+    return MergeTrace(histogram=h, initial=initial, records=tuple(records), ss_total=ss_total)
 
 
 def check_level(m: int, k0: int) -> None:
@@ -302,8 +316,16 @@ def check_level(m: int, k0: int) -> None:
         )
 
 
+def threshold_set(h: Histogram, cuts: tuple[int, ...], top: int) -> ThresholdSet:
+    """The classes `cuts` and `top` make of h, each mean read off h.running_sums."""
+    cn, c1, _ = h.running_sums
+    edges = [0, *(cut + 1 for cut in cuts), top + 1]
+    means = tuple((c1[b] - c1[a]) / (cn[b] - cn[a]) for a, b in zip(edges, edges[1:]))
+    return ThresholdSet(cuts=cuts, means=means, top=top)
+
+
 def thresholds_at(trace: MergeTrace, m: int) -> ThresholdSet:
-    """Partition with exactly m classes, replayed from the trace.
+    """Partition with exactly m classes, read off the trace.
 
     Valid m runs from 1 to K0.  Cut points are the inclusive upper gray
     bounds of all classes but the last.
@@ -312,31 +334,27 @@ def thresholds_at(trace: MergeTrace, m: int) -> ThresholdSet:
 
 
 def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[ThresholdSet]:
-    """thresholds_at() for each of `levels`, in order, from one replay.
+    """thresholds_at() for each of `levels`, in order.
 
-    The replay walks down from K0 once and takes each requested partition
-    as it passes, so the cost is one pass over the trace however many
-    levels are asked for.  Levels may repeat and come in any order.
+    Each merge deletes one cut point, so the cuts of the m-class partition
+    are the boundary grays of the last m - 1 merges; no merge is applied
+    again.  Levels may repeat and come in any order.
     """
     levels = list(levels)
     k0 = trace.initial.K
     for m in levels:
         check_level(m, k0)
-    ns = [c.n for c in trace.initial.classes]
-    sums = [c.gray_sum for c in trace.initial.classes]
-    ghis = [c.g_hi for c in trace.initial.classes]
-    found: dict[int, ThresholdSet] = {}
-    records = iter(trace.records)
-    for m in sorted(set(levels), reverse=True):
-        while len(ns) > m:
-            l = next(records).left_index
-            ns[l] += ns[l + 1]
-            sums[l] += sums[l + 1]
-            ghis[l] = ghis[l + 1]
-            del ns[l + 1], sums[l + 1], ghis[l + 1]
-        found[m] = ThresholdSet(
-            cuts=tuple(ghis[:-1]),
-            means=tuple(s / n for s, n in zip(sums, ns)),
-            top=ghis[-1],
-        )
-    return [found[m] for m in levels]
+    bounds = [r.boundary_gray for r in trace.records]
+    top = trace.initial.classes[-1].g_hi
+    return [threshold_set(trace.histogram, tuple(sorted(bounds[k0 - m :])), top) for m in levels]
+
+
+def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:
+    """(v, w, q) of the m-class partition; v = 0 and the initial w when m = K0."""
+    k0 = trace.initial.K
+    check_level(m, k0)
+    if m < k0:
+        rec = trace.records[k0 - m - 1]
+        return rec.v, rec.w, rec.q
+    v, w = 0.0, between_class_variance(trace.initial)
+    return v, w, (v / w if w else None)

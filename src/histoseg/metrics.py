@@ -4,7 +4,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -118,14 +117,12 @@ def cut_set_errors(
     squared deviation of the pixels about their real class means, as a
     Fraction, and about the class means rounded half-up to integers, as an
     int.  Each class reads its count n and its sums s1 = sum(c*g) and
-    s2 = sum(c*g*g) off prefix sums built once, so a cut set costs
-    O(M) whatever the pixel count.  The class means are s1/n; t.means is
+    s2 = sum(c*g*g) off h.running_sums, so a cut set costs O(M)
+    whatever the pixel count.  The class means are s1/n; t.means is
     not read.  Empty classes contribute nothing.  Raises RangeMismatch
     when the histogram has counts above a set's top.
     """
-    cn = [0, *accumulate(h.counts)]
-    c1 = [0, *accumulate(g * c for g, c in enumerate(h.counts))]
-    c2 = [0, *accumulate(g * g * c for g, c in enumerate(h.counts))]
+    cn, c1, c2 = h.running_sums
     last = h.G - 1
     result = []
     for t in tsets:

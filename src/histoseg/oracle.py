@@ -8,7 +8,14 @@ the two routes stay independent checks of each other.
 import itertools
 import math
 
-from .engine import EmptyHistogram, Histogram, InvalidLevel, ThresholdSet, check_level
+from .engine import (
+    EmptyHistogram,
+    Histogram,
+    InvalidLevel,
+    ThresholdSet,
+    check_level,
+    threshold_set,
+)
 from .metrics import cut_set_errors
 
 MAX_ORACLE_BINS = 64
@@ -62,15 +69,6 @@ def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]
     return v, w
 
 
-def _prefix_sums(h: Histogram) -> tuple[list[int], list[int]]:
-    cum_n = [0]
-    cum_s = [0]
-    for g, cnt in enumerate(h.counts):
-        cum_n.append(cum_n[-1] + cnt)
-        cum_s.append(cum_s[-1] + g * cnt)
-    return cum_n, cum_s
-
-
 def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     """Globally optimal m-class cut set by enumerating every combination.
 
@@ -80,9 +78,11 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     canonical.  Maximizes the size-weighted scatter of class means about
     the grand mean; exact ties keep the lexicographically smallest cut
     set (combinations enumerate in lexicographic order and only strict
-    improvements replace the incumbent).  Raises InvalidLevel when m < 2
-    or fewer than m levels are occupied, EmptyHistogram for no pixels and
-    TooLarge when the comb(K0 - 1, m - 1) cut sets exceed MAX_COMBINATIONS.
+    improvements replace the incumbent; a float score within rounding
+    error of the incumbent's is settled by the exact within-class scatter
+    of cut_set_errors).  Raises InvalidLevel when m < 2 or fewer than m
+    levels are occupied, EmptyHistogram for no pixels and TooLarge when
+    the comb(K0 - 1, m - 1) cut sets exceed MAX_COMBINATIONS.
     """
     if m < 2:
         raise InvalidLevel(f"need at least two classes, got m={m}")
@@ -97,14 +97,14 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
             f" exceeds {MAX_COMBINATIONS}"
         )
 
-    cum_n, cum_s = _prefix_sums(h)
+    cum_n, cum_s, _ = h.running_sums
     n_total = h.N
     grand = cum_s[-1] / n_total
     top = occupied[-1]
     candidates = occupied[:-1]
 
-    best = -1.0
     best_cuts: tuple[int, ...] | None = None
+    lo = hi = -1.0  # scores above hi win; scores in [lo, hi] are compared exactly
     for cuts in itertools.combinations(candidates, m - 1):
         scatter = 0.0
         prev = 0
@@ -114,19 +114,22 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
             diff = s_k / n_k - grand
             scatter += n_k * (diff * diff)
             prev = cut + 1
-        if scatter > best:
-            best = scatter
+        if scatter > hi or (scatter >= lo and _less_within_scatter(h, cuts, best_cuts, top)):
             best_cuts = cuts
+            # The float score errs by about 1e-13 * sqrt(N * scatter) plus a few ulps.
+            band = 1e-9 * max(scatter, math.sqrt(n_total * scatter))
+            lo, hi = scatter - band, scatter + band
 
     assert best_cuts is not None
-    means = []
-    prev = 0
-    for cut in best_cuts + (top,):
-        n_k = cum_n[cut + 1] - cum_n[prev]
-        s_k = cum_s[cut + 1] - cum_s[prev]
-        means.append(s_k / n_k)
-        prev = cut + 1
-    return ThresholdSet(cuts=best_cuts, means=tuple(means), top=top)
+    return threshold_set(h, best_cuts, top)
+
+
+def _less_within_scatter(
+    h: Histogram, cuts: tuple[int, ...], than: tuple[int, ...], top: int
+) -> bool:
+    """Whether `cuts` leaves exactly less within-class scatter than `than` does."""
+    (new, _), (old, _) = cut_set_errors(h, [threshold_set(h, c, top) for c in (cuts, than)])
+    return new < old
 
 
 def within_class_scatter(h: Histogram, t: ThresholdSet) -> float:

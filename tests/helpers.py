@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from histoseg.engine import Histogram
+from histoseg.engine import Histogram, ThresholdSet
 from histoseg.metrics import GrayImage
 
 
@@ -68,3 +68,30 @@ def standard_image(size: int = 512, seed: int = 7) -> GrayImage:
     )
     px = np.clip(np.rint(base + rng.normal(0, 8, (size, size))), 0, 255)
     return GrayImage(pixels=px.astype(np.uint8))
+
+
+def replay_thresholds(trace, levels):
+    """Reference for thresholds_at_levels: re-apply every merge by left_index.
+
+    Walks down from the initial classes once, merging each record's pair
+    in turn, and takes each requested partition as it passes.
+    """
+    levels = list(levels)
+    ns = [c.n for c in trace.initial.classes]
+    sums = [c.gray_sum for c in trace.initial.classes]
+    ghis = [c.g_hi for c in trace.initial.classes]
+    found = {}
+    records = iter(trace.records)
+    for m in sorted(set(levels), reverse=True):
+        while len(ns) > m:
+            l = next(records).left_index
+            ns[l] += ns[l + 1]
+            sums[l] += sums[l + 1]
+            ghis[l] = ghis[l + 1]
+            del ns[l + 1], sums[l + 1], ghis[l + 1]
+        found[m] = ThresholdSet(
+            cuts=tuple(ghis[:-1]),
+            means=tuple(s / n for s, n in zip(sums, ns)),
+            top=ghis[-1],
+        )
+    return [found[m] for m in levels]

@@ -15,10 +15,18 @@ from histoseg.engine import (
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
+    variances_at,
 )
 from histoseg.oracle import naive_variances
+from histoseg.pgm import histogram_of
 
-from helpers import dense_histogram, hist_from, sparse_histogram
+from helpers import (
+    dense_histogram,
+    hist_from,
+    replay_thresholds,
+    sparse_histogram,
+    standard_image,
+)
 
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 
@@ -214,6 +222,38 @@ class TestThresholdsAtLevels:
             thresholds_at_levels(trace, [2, 0])
         with pytest.raises(InvalidLevel):
             thresholds_at_levels(trace, [4])
+
+
+def read_off_cases():
+    """Seeded sparse and dense histograms plus a 256^2 test image's histogram."""
+    rng = random.Random(61)
+    hists = [sparse_histogram(rng, max_bins=40, max_pixels=120) for _ in range(40)]
+    hists += [dense_histogram(rng, bins=rng.randint(2, 256)) for _ in range(8)]
+    return hists + [histogram_of(standard_image(256))]
+
+
+class TestReadOff:
+    def test_thresholds_match_replay_at_every_level(self):
+        for h in read_off_cases():
+            trace = run_dendrogram(h)
+            levels = list(range(1, trace.initial.K + 1))
+            assert thresholds_at_levels(trace, levels) == replay_thresholds(trace, levels)
+
+    def test_variances_at_reads_the_record_that_left_m_classes(self):
+        for h in read_off_cases():
+            trace = run_dendrogram(h)
+            k0 = trace.initial.K
+            w0 = between_class_variance(trace.initial)
+            assert variances_at(trace, k0) == (0.0, w0, 0.0 if w0 else None)
+            for rec in trace.records:
+                assert variances_at(trace, rec.K_after) == (rec.v, rec.w, rec.q)
+
+    def test_variances_at_invalid_level(self):
+        trace = run_dendrogram(EXAMPLE)
+        with pytest.raises(InvalidLevel):
+            variances_at(trace, 4)
+        with pytest.raises(InvalidLevel):
+            variances_at(trace, 0)
 
 
 class TestTraceSerialization:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,27 @@ from histoseg.oracle import (
 from helpers import dense_histogram, hist_from, sparse_histogram
 
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
+
+
+def exact_otsu_cuts(h, m):
+    """Reference optimum: first cut set, in lexicographic order, of greatest sum(s_k^2/n_k).
+
+    Sums every class straight from the bins and compares as Fractions, so
+    exact ties are decided exactly.
+    """
+    occupied = [g for g, c in enumerate(h.counts) if c]
+    best = best_cuts = None
+    for cuts in itertools.combinations(occupied[:-1], m - 1):
+        score = Fraction(0)
+        lo = 0
+        for hi in cuts + (occupied[-1],):
+            n = sum(h.counts[lo : hi + 1])
+            s = sum(g * h.counts[g] for g in range(lo, hi + 1))
+            score += Fraction(s * s, n)
+            lo = hi + 1
+        if best is None or score > best:
+            best, best_cuts = score, cuts
+    return best_cuts
 
 
 def identity_partition(h):
@@ -91,6 +114,24 @@ class TestExhaustiveOtsu:
         # cuts 0 and 1 classify {0, 2} identically; the smaller set wins
         t = exhaustive_otsu(hist_from({0: 1, 2: 1}), 2)
         assert t.cuts == (0,)
+
+    def test_exact_tie_keeps_smallest_cut_set(self):
+        # (5, 15) and (15, 28) score exactly alike; in floats the later one looks larger
+        h = hist_from({5: 3, 11: 2, 15: 1, 24: 1, 28: 2, 34: 3})
+        assert exact_otsu_cuts(h, 3) == (5, 15)
+        assert exhaustive_otsu(h, 3).cuts == (5, 15)
+
+    def test_matches_exact_reference_on_tie_prone_histograms(self):
+        # few levels and counts from {1, 2, 3, 6} make exact ties common
+        rng = random.Random(104)
+        searches = 0
+        for _ in range(600):
+            k = rng.randint(3, 9)
+            h = hist_from({g: rng.choice((1, 2, 3, 6)) for g in rng.sample(range(40), k)})
+            for m in range(2, min(5, k) + 1):
+                assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (h, m)
+                searches += 1
+        assert searches > 2000
 
     def test_guard_trips(self):
         h = dense_histogram(random.Random(89), bins=256)
