@@ -17,6 +17,7 @@ from .engine import (
 )
 from .metrics import (
     DimensionMismatch,
+    cut_set_errors,
     foreground_of,
     histogram_psnr,
     misclassification_error,
@@ -24,7 +25,7 @@ from .metrics import (
     quantize,
     relative_area_error,
 )
-from .oracle import TooLarge, exhaustive_otsu, within_class_scatter
+from .oracle import exhaustive_otsu
 from .pgm import PgmError, histogram_of, read_pgm, write_pgm
 
 
@@ -38,7 +39,6 @@ EXIT_CODES = {
     PgmError: 2,
     InvalidLevel: 3,
     DimensionMismatch: 4,
-    TooLarge: 5,
     SelfCheckFailed: 1,
 }
 
@@ -203,9 +203,9 @@ def _cmd_oracle(args) -> dict:
 
     trace = run_dendrogram(h)
     engine_t = thresholds_at(trace, args.levels)
-    oracle_scatter = within_class_scatter(h, oracle_t)
-    engine_scatter = within_class_scatter(h, engine_t)
-    if engine_scatter < oracle_scatter - 1e-9 * max(1.0, oracle_scatter):
+    (oracle_exact, _), (engine_exact, _) = cut_set_errors(h, [oracle_t, engine_t])
+    oracle_scatter, engine_scatter = float(oracle_exact), float(engine_exact)
+    if engine_exact < oracle_exact:
         raise SelfCheckFailed(
             f"internal error: greedy scatter {engine_scatter} beats exhaustive {oracle_scatter}"
         )

@@ -1,12 +1,13 @@
-"""Brute-force reference implementations for cross-checking the engine.
+"""Reference implementations for cross-checking the engine.
 
-Everything here recomputes from the raw histogram with the plain
-definitions, sharing no state with the engine's incremental updates, so
-the two routes stay independent checks of each other.
+Everything here recomputes from the raw histogram, sharing no state with
+the engine's incremental updates, so the two routes stay independent
+checks of each other: naive_variances sums the plain definitions over
+the bins, and exhaustive_otsu finds the globally optimal cut set by
+dynamic programming over the occupied levels, with exact tie-breaking.
 """
 
-import itertools
-import math
+import numpy as np
 
 from .engine import (
     EmptyHistogram,
@@ -20,11 +21,10 @@ from .metrics import cut_set_errors
 
 MAX_ORACLE_BINS = 64
 MAX_ORACLE_PIXELS = 100_000
-MAX_COMBINATIONS = 10_000_000
 
 
 class TooLarge(ValueError):
-    """Input exceeds the brute-force size guards."""
+    """Input exceeds the size caps of naive_variances."""
 
 
 def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
@@ -70,66 +70,103 @@ def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]
 
 
 def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
-    """Globally optimal m-class cut set by enumerating every combination.
+    """Globally optimal m-class cut set, found by dynamic programming.
 
     Candidate cuts are the occupied gray levels below the top one: any
     cut between two occupied levels classifies pixels identically to the
     occupied level beneath it, so nothing is lost and cut sets stay
     canonical.  Maximizes the size-weighted scatter of class means about
-    the grand mean; exact ties keep the lexicographically smallest cut
-    set (combinations enumerate in lexicographic order and only strict
-    improvements replace the incumbent; a float score within rounding
-    error of the incumbent's is settled by the exact within-class scatter
-    of cut_set_errors).  Raises InvalidLevel when m < 2 or fewer than m
-    levels are occupied, EmptyHistogram for no pixels and TooLarge when
-    the comb(K0 - 1, m - 1) cut sets exceed MAX_COMBINATIONS.
+    the grand mean over contiguous runs of the K0 occupied levels, the
+    same optimum an enumeration of all comb(K0 - 1, m - 1) cut sets finds,
+    in O(m * K0^2) time and O(K0^2 + m * K0) memory (Fisher's grouping
+    for maximum homogeneity).  Exact ties keep the lexicographically
+    smallest cut set: every DP cell takes the smallest first-class end
+    that reaches its exact optimum, and a cell with several float scores
+    within rounding error of its maximum settles them exactly from the
+    integer class sums.  Raises InvalidLevel when m < 2 or fewer than m
+    levels are occupied and EmptyHistogram for no pixels.
     """
     if m < 2:
         raise InvalidLevel(f"need at least two classes, got m={m}")
     if h.N == 0:
         raise EmptyHistogram("histogram holds no pixels")
     occupied = [g for g, cnt in enumerate(h.counts) if cnt]
-    check_level(m, len(occupied))
-    searched = math.comb(len(occupied) - 1, m - 1)
-    if searched > MAX_COMBINATIONS:
-        raise TooLarge(
-            f"search space comb({len(occupied) - 1}, {m - 1}) = {searched}"
-            f" exceeds {MAX_COMBINATIONS}"
-        )
+    k0 = len(occupied)
+    check_level(m, k0)
 
+    # Occupied levels i..c hold run_n[c + 1] - run_n[i] pixels summing to
+    # run_s[c + 1] - run_s[i] gray, all exact Python ints.
     cum_n, cum_s, _ = h.running_sums
-    n_total = h.N
-    grand = cum_s[-1] / n_total
-    top = occupied[-1]
-    candidates = occupied[:-1]
+    run_n = [0] + [cum_n[g + 1] for g in occupied]
+    run_s = [0] + [cum_s[g + 1] for g in occupied]
+    n_total = run_n[-1]
+    grand = run_s[-1] / n_total
 
-    best_cuts: tuple[int, ...] | None = None
-    lo = hi = -1.0  # scores above hi win; scores in [lo, hi] are compared exactly
-    for cuts in itertools.combinations(candidates, m - 1):
-        scatter = 0.0
-        prev = 0
-        for cut in cuts + (top,):
-            n_k = cum_n[cut + 1] - cum_n[prev]
-            s_k = cum_s[cut + 1] - cum_s[prev]
-            diff = s_k / n_k - grand
-            scatter += n_k * (diff * diff)
-            prev = cut + 1
-        if scatter > hi or (scatter >= lo and _less_within_scatter(h, cuts, best_cuts, top)):
-            best_cuts = cuts
-            # The float score errs by about 1e-13 * sqrt(N * scatter) plus a few ulps.
-            band = 1e-9 * max(scatter, math.sqrt(n_total * scatter))
-            lo, hi = scatter - band, scatter + band
+    # score[i, c]: n * (mean - grand)^2 of the class of levels i..c, the same
+    # float form the between-class scatter takes; c < i is infeasible.
+    fn = np.array(run_n, dtype=np.float64)
+    fs = np.array(run_s, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = fn[None, 1:] - fn[:-1, None]
+        diff = (fs[None, 1:] - fs[:-1, None]) / n - grand
+        score = np.where(np.triu(np.ones((k0, k0), dtype=bool)), n * (diff * diff), -np.inf)
 
-    assert best_cuts is not None
-    return threshold_set(h, best_cuts, top)
+    # best[i]: greatest score of levels i..k0-1 in r classes (-inf where
+    # fewer than r levels remain); choice[r][i]: where its first class ends.
+    best = np.append(score[:, -1], -np.inf)
+    choice: dict[int, list[int]] = {}
+    # Exact sums of S^2/N as unreduced (numerator, denominator) int pairs,
+    # denominators > 0; adding them skips the gcd a Fraction takes each time.
+    exact: dict[tuple[int, int], tuple[int, int]] = {}
 
+    def plus_class(i: int, c: int, value: tuple[int, int]) -> tuple[int, int]:
+        """value plus S^2/N of the class of levels i..c, exactly."""
+        s = run_s[c + 1] - run_s[i]
+        n = run_n[c + 1] - run_n[i]
+        return s * s * value[1] + value[0] * n, n * value[1]
 
-def _less_within_scatter(
-    h: Histogram, cuts: tuple[int, ...], than: tuple[int, ...], top: int
-) -> bool:
-    """Whether `cuts` leaves exactly less within-class scatter than `than` does."""
-    (new, _), (old, _) = cut_set_errors(h, [threshold_set(h, c, top) for c in (cuts, than)])
-    return new < old
+    def exact_best(r: int, i: int) -> tuple[int, int]:
+        """Exact sum of S^2/N over the r classes the DP chose for levels i..k0-1."""
+        path = []
+        while r > 1 and (r, i) not in exact:
+            c = choice[r][i]
+            path.append((r, i, c))
+            r, i = r - 1, c + 1
+        value = exact.get((r, i)) or plus_class(i, k0 - 1, (0, 1))
+        for r, i, c in reversed(path):
+            value = exact[r, i] = plus_class(i, c, value)
+        return value
+
+    for r in range(2, m + 1):
+        # cells m-r..k0-r can follow m-r earlier classes; the last row needs cell 0
+        lo, hi = (0, 0) if r == m else (m - r, k0 - r)
+        vals = score[lo : hi + 1] + best[1:]
+        top = vals.max(axis=1)
+        # The float score errs by about 1e-13 * sqrt(N * scatter) plus a few ulps.
+        band = 1e-9 * np.maximum(top, np.sqrt(n_total * top))
+        near = vals >= (top - band)[:, None]
+        first = near.argmax(axis=1).tolist()
+        # Cells with several candidates in the band take the smallest end
+        # whose exact score no later candidate beats.
+        tied = np.flatnonzero(near.sum(axis=1) > 1)
+        rows, ends = np.nonzero(near[tied])
+        cell = cell_best = None
+        for i, c in zip((tied[rows] + lo).tolist(), ends.tolist()):
+            num, den = plus_class(i, c, exact_best(r - 1, c + 1))
+            if i != cell or num * cell_best[1] > cell_best[0] * den:
+                cell, cell_best = i, (num, den)
+                first[i - lo] = c
+        choice[r] = [0] * lo + first
+        best = np.full(k0 + 1, -np.inf)
+        best[lo : hi + 1] = top
+
+    cuts = []
+    i = 0
+    for r in range(m, 1, -1):
+        c = choice[r][i]
+        cuts.append(occupied[c])
+        i = c + 1
+    return threshold_set(h, tuple(cuts), occupied[-1])
 
 
 def within_class_scatter(h: Histogram, t: ThresholdSet) -> float:

@@ -117,6 +117,22 @@ def test_c4_otsu_dominance():
     report("C4 Otsu dominance", ok, f"({checked} image/level pairs)")
 
 
+def test_c4_otsu_dominance_at_paper_scale():
+    """Greedy cuts never leave less exact scatter than the optimum, 256 levels, M to 25."""
+    from histoseg.metrics import cut_set_errors
+    from histoseg.oracle import exhaustive_otsu
+
+    h = histogram_of(standard_image(512))
+    trace = run_dendrogram(h)
+    beaten = []
+    for m in range(2, 26):
+        tsets = [thresholds_at(trace, m), exhaustive_otsu(h, m)]
+        (greedy, _), (optimal, _) = cut_set_errors(h, tsets)
+        if greedy < optimal:
+            beaten.append(m)
+    report("C4 Otsu dominance at paper scale", not beaten, f"(M = 2..25, beaten at {beaten})")
+
+
 def test_c5_psnr_monotone_in_levels():
     """Real-mean PSNR never drops as the class count rises, exactly."""
     rng = np.random.default_rng(20250814)

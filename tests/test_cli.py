@@ -279,9 +279,12 @@ class TestOracle:
         data = json.loads(report.read_text())
         assert data["engine_within_scatter"] == data["oracle_within_scatter"] == 0.0
 
-    def test_guard_exits_5(self, full_range_image, capsys):
-        assert main(["oracle", full_range_image, "--levels", "5"]) == 5
-        assert capsys.readouterr().err.startswith("E:")
+    def test_full_range_five_levels_exits_0(self, tmp_path, full_range_image):
+        # comb(255, 4) cut sets over 256 occupied levels, all searched
+        report = tmp_path / "o.json"
+        assert main(["oracle", full_range_image, "--levels", "5", "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["oracle_within_scatter"] <= data["engine_within_scatter"]
 
     def test_infeasible_exits_3(self, five_pixel_image):
         assert main(["oracle", five_pixel_image, "--levels", "4"]) == 3

@@ -10,8 +10,10 @@ from histoseg.engine import (
     InvalidLevel,
     ThresholdSet,
     run_dendrogram,
+    threshold_set,
     thresholds_at,
 )
+from histoseg.metrics import cut_set_errors
 from histoseg.oracle import (
     TooLarge,
     exhaustive_otsu,
@@ -121,6 +123,20 @@ class TestExhaustiveOtsu:
         assert exact_otsu_cuts(h, 3) == (5, 15)
         assert exhaustive_otsu(h, 3).cuts == (5, 15)
 
+    def test_near_tie_is_settled_exactly(self):
+        # a lone middle pixel sides with the heavier spike; at these counts the
+        # two cuts' float scores differ by far less than the tie band
+        for n in (10**3, 10**6):
+            for bins, m, cuts in [
+                ({0: n, 1: 1, 2: n + 1}, 2, (1,)),
+                ({0: n + 1, 1: 1, 2: n}, 2, (0,)),
+                ({0: n, 1: 1, 2: n + 1, 200: 5}, 3, (1, 2)),
+                ({0: 5, 100: n, 101: 1, 102: n + 1}, 3, (0, 101)),
+            ]:
+                h = hist_from(bins)
+                assert exact_otsu_cuts(h, m) == cuts
+                assert exhaustive_otsu(h, m).cuts == cuts, (bins, m)
+
     def test_matches_exact_reference_on_tie_prone_histograms(self):
         # few levels and counts from {1, 2, 3, 6} make exact ties common
         rng = random.Random(104)
@@ -133,11 +149,37 @@ class TestExhaustiveOtsu:
                 searches += 1
         assert searches > 2000
 
-    def test_guard_trips(self):
+    def test_matches_exact_reference_on_flat_histograms(self):
+        # equal counts on consecutive levels tie many cut sets exactly
+        searches = 0
+        for k in range(3, 15):
+            for count in (1, 2):
+                h = hist_from({g: count for g in range(k)})
+                for m in range(2, min(6, k) + 1):
+                    assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (k, count, m)
+                    searches += 1
+        assert searches == 108
+
+    def test_flat_256_levels_in_25_classes(self):
+        # the C(25, 6) optima order 19 classes of 10 levels and 6 of 11;
+        # the lexicographically smallest puts every 10-level class first
+        t = exhaustive_otsu(Histogram((1,) * 256), 25)
+        sizes = [hi - lo for lo, hi in zip((-1,) + t.cuts, t.cuts + (t.top,))]
+        assert sizes == [10] * 19 + [11] * 6
+
+    def test_no_single_cut_move_improves_dense_optimum(self):
+        # comb(255, 4) = 172,061,505 cut sets over the 256 occupied levels
         h = dense_histogram(random.Random(89), bins=256)
-        # the message counts the cut sets searched over the 256 occupied levels
-        with pytest.raises(TooLarge, match=r"comb\(255, 4\) = 172061505 "):
-            exhaustive_otsu(h, 5)
+        t = exhaustive_otsu(h, 5)
+        moved = [
+            threshold_set(h, tuple(sorted(t.cuts[:j] + (g,) + t.cuts[j + 1 :])), t.top)
+            for j in range(len(t.cuts))
+            for g in range(255)
+            if g not in t.cuts
+        ]
+        [(best, _), *others] = cut_set_errors(h, [t, *moved])
+        assert len(others) == 4 * 251
+        assert all(scatter >= best for scatter, _ in others)
 
     def test_infeasible(self):
         with pytest.raises(InvalidLevel) as excinfo:
