@@ -8,16 +8,16 @@ import numpy as np
 from .engine import Histogram, run_dendrogram, thresholds_at
 
 
-def synthetic_histogram(bins: int, seed: int = 0) -> Histogram:
+def synthetic_histogram(bins: int) -> Histogram:
     """Dense histogram: `bins` occupied levels with seeded counts in [1, 256]."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    rng = np.random.default_rng([seed, bins])
+    rng = np.random.default_rng([0, bins])
     counts = rng.integers(1, 257, size=bins)
     return Histogram(tuple(int(c) for c in counts))
 
 
-def run_benchmark(bins_list, repeat: int = 5, seed: int = 0) -> dict:
+def run_benchmark(bins_list, repeat: int = 5) -> dict:
     """Time full dendrogram runs per histogram size.
 
     Returns one row per size with the median wall clock over `repeat`
@@ -29,7 +29,7 @@ def run_benchmark(bins_list, repeat: int = 5, seed: int = 0) -> dict:
         raise ValueError("repeat must be >= 1")
     rows = []
     for bins in bins_list:
-        h = synthetic_histogram(bins, seed=seed)
+        h = synthetic_histogram(bins)
         times = []
         trace = None
         for _ in range(repeat):

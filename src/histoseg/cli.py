@@ -102,8 +102,9 @@ def _cmd_threshold(args) -> dict:
     tset = thresholds_at(trace, args.levels)  # rejects a level the histogram lacks
     v, w, q = variances_at(trace, args.levels)
 
-    t0 = time.perf_counter()
     [((mse, psnr_real), (mse_rounded, psnr_rounded))] = histogram_psnr(h, [tset])
+
+    t0 = time.perf_counter()
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(write_pgm(quantize(img, tset)))

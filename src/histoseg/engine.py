@@ -4,8 +4,9 @@ The engine starts from one class per occupied gray level and repeatedly
 merges the adjacent pair whose pooled squared-mean gap is smallest,
 tracking unbiased within-class and between-class variance estimates with
 O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
-the only code that applies merges; the partition for any class count is
-read straight off its trace, with class sums from Histogram.running_sums.
+the only code that applies merges, and it keeps only the cut points and
+pair distances; the partition for any class count is read straight off
+its trace, with every class sum from Histogram.running_sums.
 """
 
 import json
@@ -237,18 +238,14 @@ def between_class_variance(c: ClassArray) -> float | None:
     return acc / (c.K - 1)
 
 
-def _pair_d_sq(n1: int, a1: float, n2: int, a2: float) -> float:
-    diff = a1 - a2
-    return n1 * n2 / (n1 + n2) * (diff * diff)
-
-
 def run_dendrogram(h: Histogram) -> MergeTrace:
     """Merge down to one class, recording every step.
 
     The trace holds the complete hierarchy, from which any class count
-    from 1 to K0 can be reconstructed with thresholds_at().  Only the two
-    pair distances touching a merge are recomputed per step and the
-    minimum search is a linear scan, so a run is O(K0^2).
+    from 1 to K0 can be reconstructed with thresholds_at().  A pair
+    distance reads both classes' counts and gray sums off h.running_sums;
+    only the two distances touching a merge are recomputed per step and
+    the minimum search is a linear scan, so a run is O(K0^2).
     """
     initial = build_initial(h)
     k0 = initial.K
@@ -257,11 +254,18 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     ss_total = math.fsum(cnt * (g - gm) ** 2 for g, cnt in enumerate(h.counts) if cnt)
 
     n_pixels = initial.N
-    ns = [c.n for c in initial.classes]
-    sums = [c.gray_sum for c in initial.classes]
-    means = [c.gray_sum / c.n for c in initial.classes]
-    ghis = [c.g_hi for c in initial.classes]
-    d2 = [_pair_d_sq(ns[j], means[j], ns[j + 1], means[j + 1]) for j in range(k0 - 1)]
+    cn, c1, _ = h.running_sums
+    # class j holds grays edges[j] + 1 .. edges[j + 1]
+    edges = [-1, *(c.g_hi for c in initial.classes)]
+
+    def pair_d_sq(j: int) -> float:
+        """n1*n2/(n1+n2) * (a1 - a2)^2 of classes j and j + 1."""
+        lo, mid, hi = edges[j] + 1, edges[j + 1] + 1, edges[j + 2] + 1
+        n1, n2 = cn[mid] - cn[lo], cn[hi] - cn[mid]
+        diff = (c1[mid] - c1[lo]) / n1 - (c1[hi] - c1[mid]) / n2
+        return n1 * n2 / (n1 + n2) * (diff * diff)
+
+    d2 = [pair_d_sq(j) for j in range(k0 - 1)]
 
     v = 0.0
     w = between_class_variance(initial)
@@ -270,17 +274,12 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     while k > 1:
         l = d2.index(min(d2))  # lowest index wins ties
         d_sq = d2[l]
-        boundary = ghis[l]
-        ns[l] += ns[l + 1]
-        sums[l] += sums[l + 1]
-        means[l] = sums[l] / ns[l]
-        ghis[l] = ghis[l + 1]
-        del ns[l + 1], sums[l + 1], means[l + 1], ghis[l + 1]
-        del d2[l]
+        boundary = edges[l + 1]
+        del edges[l + 1], d2[l]
         if l > 0:
-            d2[l - 1] = _pair_d_sq(ns[l - 1], means[l - 1], ns[l], means[l])
+            d2[l - 1] = pair_d_sq(l - 1)
         if l < len(d2):
-            d2[l] = _pair_d_sq(ns[l], means[l], ns[l + 1], means[l + 1])
+            d2[l] = pair_d_sq(l)
         k -= 1
         # The within estimate absorbs d_sq and the between estimate sheds
         # it; both divisors follow the new class count k.

@@ -59,14 +59,6 @@ class BinaryMask:
             raise ValueError("bits must be a non-empty 2-D array")
         object.__setattr__(self, "bits", b.astype(bool))
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
 
 def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
     """Nonzero pixels as foreground; invert flips the polarity."""

@@ -3,8 +3,10 @@
 Everything here recomputes from the raw histogram, sharing no state with
 the engine's incremental updates, so the two routes stay independent
 checks of each other: naive_variances sums the plain definitions over
-the bins, and exhaustive_otsu finds the globally optimal cut set by
-dynamic programming over the occupied levels, with exact tie-breaking.
+the bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
+globally optimal cut set by dynamic programming over the occupied levels,
+with exact tie-breaking.  The exact scatter of a cut set, by which the two
+are compared, is metrics.cut_set_errors.
 """
 
 import numpy as np
@@ -17,14 +19,6 @@ from .engine import (
     check_level,
     threshold_set,
 )
-from .metrics import cut_set_errors
-
-MAX_ORACLE_BINS = 64
-MAX_ORACLE_PIXELS = 100_000
-
-
-class TooLarge(ValueError):
-    """Input exceeds the size caps of naive_variances."""
 
 
 def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
@@ -38,11 +32,6 @@ def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]
     a class is empty, a mean in `t.means` differs from the recomputed
     one, or pixels lie above `t.top`.
     """
-    occupied = sum(1 for cnt in h.counts if cnt)
-    if occupied > MAX_ORACLE_BINS or h.N > MAX_ORACLE_PIXELS:
-        raise TooLarge(
-            f"naive recomputation capped at {MAX_ORACLE_BINS} bins / {MAX_ORACLE_PIXELS} pixels"
-        )
     n_total = h.N
     grand = sum(g * cnt for g, cnt in enumerate(h.counts)) / n_total
     ss_within = 0.0
@@ -167,14 +156,3 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
         cuts.append(occupied[c])
         i = c + 1
     return threshold_set(h, tuple(cuts), occupied[-1])
-
-
-def within_class_scatter(h: Histogram, t: ThresholdSet) -> float:
-    """Total squared deviation of pixels about their class means.
-
-    Evaluated exactly from the histogram's per-class sums (see
-    metrics.cut_set_errors), so it rates engine and oracle cut sets on
-    equal footing.  Equals pixel count times the mean-quantization MSE.
-    """
-    [(scatter, _)] = cut_set_errors(h, [t])
-    return float(scatter)

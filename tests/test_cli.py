@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import histoseg.cli
+import histoseg.engine
 import histoseg.metrics
+import histoseg.oracle
+import histoseg.pgm
 from histoseg.cli import main
 from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
 from histoseg.metrics import GrayImage
@@ -180,6 +183,20 @@ def test_too_many_levels_same_message_everywhere(five_pixel_image, capsys):
     assert texts == [
         "E: requested 4 classes but the histogram has only 3 occupied gray levels\n"
     ] * 3
+
+
+def test_layer_names_bound_from_home_modules():
+    # perfbench times each layer by swapping these names in histoseg.cli's
+    # namespace and counts a missing one as zero calls, so a rename must fail here
+    homes = {
+        histoseg.pgm: ("read_pgm", "write_pgm", "histogram_of"),
+        histoseg.engine: ("run_dendrogram", "thresholds_at"),
+        histoseg.metrics: ("quantize",),
+        histoseg.oracle: ("exhaustive_otsu",),
+    }
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(histoseg.cli, name, None) is getattr(module, name), name
 
 
 class TestSweep:

@@ -23,6 +23,7 @@ from histoseg.pgm import histogram_of
 from helpers import (
     dense_histogram,
     hist_from,
+    rel_err,
     replay_thresholds,
     sparse_histogram,
     standard_image,
@@ -149,6 +150,44 @@ class TestRunDendrogram:
     def test_determinism(self):
         h = dense_histogram(random.Random(47), bins=128)
         assert run_dendrogram(h) == run_dendrogram(h)
+
+    def test_each_merge_takes_the_first_cheapest_pair(self):
+        rng = random.Random(113)
+        hists = [sparse_histogram(rng, max_bins=40, max_pixels=200) for _ in range(200)]
+        hists += [dense_histogram(rng, bins=256, max_count=c) for c in (2, 40, 5000)]
+        for _ in range(300):
+            # tie-prone: 4-20 levels below 64 with counts from {1, 2, 3, 6}
+            levels = rng.sample(range(64), rng.randint(4, 20))
+            hists.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
+        hists.append(histogram_of(standard_image(256)))
+        for h in hists:
+            # (n, exact gray sum, top gray) of each class, rebuilt from scratch every step
+            classes = [(c, g * c, g) for g, c in enumerate(h.counts) if c]
+            trace = run_dendrogram(h)
+            assert len(trace.records) == len(classes) - 1
+            for rec in trace.records:
+                costs = []
+                for (n1, s1, _), (n2, s2, _) in zip(classes, classes[1:]):
+                    diff = s1 / n1 - s2 / n2
+                    costs.append(n1 * n2 / (n1 + n2) * (diff * diff))
+                l = costs.index(min(costs))
+                assert (rec.left_index, rec.d_sq, rec.boundary_gray) == (l, costs[l], classes[l][2])
+                (n1, s1, _), (n2, s2, g_hi) = classes[l : l + 2]
+                classes[l : l + 2] = [(n1 + n2, s1 + s2, g_hi)]
+
+    @pytest.mark.parametrize("size", [512, 2048])
+    def test_recurrence_matches_naive_at_paper_scale(self, size):
+        h = histogram_of(standard_image(size))
+        trace = run_dendrogram(h)
+        assert trace.initial.K > 200
+        tsets = thresholds_at_levels(trace, [r.K_after for r in trace.records])
+        for rec, t in zip(trace.records, tsets):
+            v_naive, w_naive = naive_variances(h, t)
+            assert rel_err(rec.v, v_naive) <= 1e-9
+            if w_naive is None:
+                assert rec.w is None
+            else:
+                assert rel_err(rec.w, w_naive) <= 1e-9
 
 
 class TestThresholdsAt:
