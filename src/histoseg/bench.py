@@ -14,7 +14,7 @@ def synthetic_histogram(bins: int) -> Histogram:
         raise ValueError("bins must be >= 1")
     rng = np.random.default_rng([0, bins])
     counts = rng.integers(1, 257, size=bins)
-    return Histogram(tuple(int(c) for c in counts))
+    return Histogram(tuple(counts.tolist()))
 
 
 def run_benchmark(bins_list, repeat: int = 5) -> dict:

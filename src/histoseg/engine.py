@@ -4,9 +4,11 @@ The engine starts from one class per occupied gray level and repeatedly
 merges the adjacent pair whose pooled squared-mean gap is smallest,
 tracking unbiased within-class and between-class variance estimates with
 O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
-the only code that applies merges, and it keeps only the cut points and
-pair distances; the partition for any class count is read straight off
-its trace, with every class sum from Histogram.running_sums.
+the only code that applies merges.  It keeps the pair distances in a
+float64 array with one fixed slot per initial cut, finds each merge with
+one argmin scan (the lowest slot wins ties) and keeps only the live cut
+points; the partition for any class count is read straight off its
+trace, with every class sum from Histogram.running_sums.
 """
 
 import json
@@ -15,6 +17,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
+
+# The most pixels histogram_of's int64 counts can hold; the bound keeps every
+# float in a merge trace finite.
+MAX_PIXELS = 2**63 - 1
 
 
 class EmptyHistogram(ValueError):
@@ -36,6 +45,8 @@ class Histogram:
             raise ValueError("histogram needs at least one bin")
         if any(c < 0 for c in self.counts):
             raise ValueError("bin counts must be non-negative")
+        if sum(self.counts) > MAX_PIXELS:
+            raise ValueError(f"total count exceeds {MAX_PIXELS} (2**63 - 1)")
 
     @property
     def G(self) -> int:
@@ -98,8 +109,7 @@ def histogram_from_csv(text: str) -> Histogram:
     return Histogram(tuple(counts))
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One contiguous gray-level class.
 
     gray_sum is the exact integer sum of the original gray values inside
@@ -126,8 +136,7 @@ class ClassArray:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(NamedTuple):
     """One merge: which adjacent pair went, plus the tracked statistics.
 
     w and q are None once a single class remains (the between-class
@@ -219,7 +228,7 @@ def build_initial(h: Histogram) -> ClassArray:
     if cn[-1] == 0:
         raise EmptyHistogram("histogram holds no pixels")
     classes = tuple(
-        ClassRecord(n=c, g_lo=g, g_hi=g, gray_sum=c * g) for g, c in enumerate(h.counts) if c
+        ClassRecord(c, g, g, c * g) for g, c in enumerate(h.counts) if c
     )
     return ClassArray(classes=classes, grand_mean=c1[-1] / cn[-1], N=cn[-1])
 
@@ -243,9 +252,13 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
 
     The trace holds the complete hierarchy, from which any class count
     from 1 to K0 can be reconstructed with thresholds_at().  A pair
-    distance reads both classes' counts and gray sums off h.running_sums;
-    only the two distances touching a merge are recomputed per step and
-    the minimum search is a linear scan, so a run is O(K0^2).
+    distance reads both classes' counts and gray sums off h.running_sums.
+    Distances sit in a float64 array with one fixed slot per initial cut,
+    in gray order, and a merged cut's slot holds +inf; each step is one
+    argmin over that array, a linear scan whose first minimum is the
+    lowest live index, so ties go to the lowest index.  Only the two
+    distances touching a merge are recomputed per step, so a run is
+    O(K0^2).
     """
     initial = build_initial(h)
     k0 = initial.K
@@ -265,21 +278,26 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
         diff = (c1[mid] - c1[lo]) / n1 - (c1[hi] - c1[mid]) / n2
         return n1 * n2 / (n1 + n2) * (diff * diff)
 
-    d2 = [pair_d_sq(j) for j in range(k0 - 1)]
+    # Histogram's MAX_PIXELS bound keeps every live cost finite, so the
+    # +inf of a merged slot never ties one.
+    d2 = np.array([pair_d_sq(j) for j in range(k0 - 1)], dtype=np.float64)
+    live = list(range(k0 - 1))  # slots of the cuts still standing
 
     v = 0.0
     w = between_class_variance(initial)
     records: list[MergeRecord] = []
     k = k0
     while k > 1:
-        l = d2.index(min(d2))  # lowest index wins ties
-        d_sq = d2[l]
+        s = int(d2.argmin())  # first minimum: the lowest live index wins ties
+        l = live.index(s)
+        d_sq = float(d2[s])
         boundary = edges[l + 1]
-        del edges[l + 1], d2[l]
+        d2[s] = math.inf
+        del edges[l + 1], live[l]
         if l > 0:
-            d2[l - 1] = pair_d_sq(l - 1)
-        if l < len(d2):
-            d2[l] = pair_d_sq(l)
+            d2[live[l - 1]] = pair_d_sq(l - 1)
+        if l < len(live):
+            d2[live[l]] = pair_d_sq(l)
         k -= 1
         # The within estimate absorbs d_sq and the between estimate sheds
         # it; both divisors follow the new class count k.
@@ -290,18 +308,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             q = v / w if w > 0 else None
         else:
             w = q = None
-        records.append(
-            MergeRecord(
-                step=len(records) + 1,
-                left_index=l,
-                boundary_gray=boundary,
-                d_sq=d_sq,
-                v=v,
-                w=w,
-                q=q,
-                K_after=k,
-            )
-        )
+        records.append(MergeRecord(len(records) + 1, l, boundary, d_sq, v, w, q, k))
     return MergeTrace(histogram=h, initial=initial, records=tuple(records), ss_total=ss_total)
 
 

@@ -166,4 +166,4 @@ def histogram_of(img: GrayImage) -> Histogram:
     counts = np.zeros(256, dtype=np.int64)
     for i in range(0, flat.size, _HIST_SLICE):
         counts += np.bincount(flat[i : i + _HIST_SLICE], minlength=256)
-    return Histogram(tuple(int(c) for c in counts))
+    return Histogram(tuple(counts.tolist()))

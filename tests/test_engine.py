@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -44,6 +45,31 @@ class TestHistogram:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             Histogram(())
+
+    def test_rejects_a_total_past_int64(self):
+        # once gave w = inf, then nan, and a to_json() holding NaN
+        with pytest.raises(ValueError, match="total count exceeds"):
+            hist_from({0: 10**305, 100: 10**305, 101: 5, 255: 10**305})
+        with pytest.raises(ValueError, match="total count exceeds"):
+            Histogram((2**62, 2**62))
+
+    @pytest.mark.parametrize(
+        "bins",
+        [{0: 2**62, 255: 2**62 - 1}, {g: (2**63 - 1) // 256 for g in range(256)}],
+    )
+    def test_total_at_int64_max_keeps_the_trace_finite(self, bins):
+        h = hist_from(bins)
+        assert h.N <= 2**63 - 1
+        trace = run_dendrogram(h)
+        values = [trace.ss_total] + [
+            x for r in trace.records for x in (r.d_sq, r.v, r.w, r.q) if x is not None
+        ]
+        assert all(math.isfinite(x) for x in values)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in to_json()")
+
+        json.loads(trace.to_json(), parse_constant=reject)
 
 
 class TestBuildInitial:
@@ -94,6 +120,19 @@ class TestMergeStep:
         assert rec.q is None
 
 
+def merge_order_families() -> dict[str, list[Histogram]]:
+    """Seeded sparse, dense and tie-prone histograms for merge-order checks."""
+    rng = random.Random(113)
+    sparse = [sparse_histogram(rng, max_bins=40, max_pixels=200) for _ in range(200)]
+    dense = [dense_histogram(rng, bins=256, max_count=c) for c in (2, 40, 5000)]
+    tie_prone = []
+    for _ in range(300):
+        # 4-20 levels below 64 with counts from {1, 2, 3, 6}
+        levels = rng.sample(range(64), rng.randint(4, 20))
+        tie_prone.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
+    return {"sparse": sparse, "dense": dense, "tie-prone": tie_prone}
+
+
 class TestRunDendrogram:
     def test_worked_example_trace(self):
         trace = run_dendrogram(EXAMPLE)
@@ -115,6 +154,32 @@ class TestRunDendrogram:
     def test_single_class_histogram(self):
         trace = run_dendrogram(hist_from({7: 10}))
         assert trace.records == ()
+        assert trace.to_dict()["merges"] == []
+
+    def test_two_classes(self):
+        (rec,) = run_dendrogram(hist_from({3: 2, 9: 1})).records
+        assert rec == (1, 0, 3, 24.0, 12.0, None, None, 1)
+
+    @pytest.mark.parametrize(
+        "bins, merged",
+        [
+            ({0: 1, 1: 1, 100: 1}, [(0, 0), (0, 1)]),
+            ({0: 1, 100: 1, 101: 1}, [(1, 100), (0, 0)]),
+            # the last slot, the first, then a pair whose cost was recomputed
+            ({0: 1, 50: 1, 120: 1, 200: 1, 201: 1}, [(3, 200), (0, 0), (1, 120), (0, 50)]),
+        ],
+    )
+    def test_first_and_last_slot_merges(self, bins, merged):
+        trace = run_dendrogram(hist_from(bins))
+        assert [(r.left_index, r.boundary_gray) for r in trace.records] == merged
+        assert [r.K_after for r in trace.records] == list(range(len(merged), 0, -1))
+
+    def test_records_are_immutable(self):
+        trace = run_dendrogram(EXAMPLE)
+        with pytest.raises(AttributeError):
+            trace.records[0].d_sq = 0.0
+        with pytest.raises(AttributeError):
+            trace.initial.classes[0].n = 0
 
     def test_conservation_identity(self):
         rng = random.Random(31)
@@ -152,13 +217,7 @@ class TestRunDendrogram:
         assert run_dendrogram(h) == run_dendrogram(h)
 
     def test_each_merge_takes_the_first_cheapest_pair(self):
-        rng = random.Random(113)
-        hists = [sparse_histogram(rng, max_bins=40, max_pixels=200) for _ in range(200)]
-        hists += [dense_histogram(rng, bins=256, max_count=c) for c in (2, 40, 5000)]
-        for _ in range(300):
-            # tie-prone: 4-20 levels below 64 with counts from {1, 2, 3, 6}
-            levels = rng.sample(range(64), rng.randint(4, 20))
-            hists.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
+        hists = [h for family in merge_order_families().values() for h in family]
         hists.append(histogram_of(standard_image(256)))
         for h in hists:
             # (n, exact gray sum, top gray) of each class, rebuilt from scratch every step
@@ -188,6 +247,35 @@ class TestRunDendrogram:
                 assert rec.w is None
             else:
                 assert rel_err(rec.w, w_naive) <= 1e-9
+
+
+# sha256 of every trace's to_json() plus the repr of each record's fields
+TRACE_DIGESTS = {
+    "sparse": "e834eb4b1aba2d8fe2eb8b013be620cc528d334488f7a17be30df7bae1874318",
+    "dense": "85626ee3cb57508de905ee0a86d5732473976f6e6e2fdc7d666e596bf39038a1",
+    "tie-prone": "0a167f1ee90311e3cb8673a715974f9e2a7a72c308e2140512153554329cc3dd",
+    128: "e3c92c3baa89aa284b092d98478cec0e3ad55b7d790725d337ea8b24267a2318",
+    512: "412fdf45b80c89aebdb805797388d90e0a61027c19836d6b04c3688d78b8a57f",
+    2048: "4b5f78695c23b9c2e31e68f7c5037f98a8ba7713a236fbd9f29aae142d993400",
+}
+
+
+@pytest.mark.parametrize("case", list(TRACE_DIGESTS))
+def test_traces_are_byte_identical_to_pinned_digests(case):
+    if isinstance(case, int):
+        hists = [histogram_of(standard_image(case))]
+    else:
+        hists = merge_order_families()[case]
+    digest = hashlib.sha256()
+    for h in hists:
+        trace = run_dendrogram(h)
+        fields = [
+            (r.left_index, r.boundary_gray, r.d_sq, r.v, r.w, r.q, r.K_after)
+            for r in trace.records
+        ]
+        digest.update(trace.to_json().encode())
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == TRACE_DIGESTS[case]
 
 
 class TestThresholdsAt:
@@ -298,14 +386,15 @@ class TestReadOff:
 class TestTraceSerialization:
     def test_schema(self):
         data = run_dendrogram(EXAMPLE).to_dict()
-        assert set(data) == {"G", "N", "grand_mean", "ss_total", "initial_classes", "merges"}
+        # key order is part of the byte-identical to_json()
+        assert list(data) == ["G", "N", "grand_mean", "ss_total", "initial_classes", "merges"]
         assert data["G"] == 256
         assert data["N"] == 5
-        assert all(set(c) == {"n", "a", "g_lo", "g_hi"} for c in data["initial_classes"])
+        assert all(list(c) == ["n", "a", "g_lo", "g_hi"] for c in data["initial_classes"])
         first, last = data["merges"][0], data["merges"][-1]
-        assert set(first) == {"step", "boundary_gray", "d_sq", "v", "w", "q", "K_after"}
+        assert list(first) == ["step", "boundary_gray", "d_sq", "v", "w", "q", "K_after"]
         # terminal record has no defined w or q
-        assert set(last) == {"step", "boundary_gray", "d_sq", "v", "K_after"}
+        assert list(last) == ["step", "boundary_gray", "d_sq", "v", "K_after"]
 
     def test_json_round_trip_and_determinism(self):
         a = run_dendrogram(EXAMPLE).to_json()
@@ -319,6 +408,11 @@ class TestHistogramIngestion:
         h = histogram_from_json("[0, 2, 2, 0, 0, 1]")
         assert h.G == 6
         assert h.N == 5
+
+    def test_from_json_rejects_a_total_past_int64(self):
+        with pytest.raises(ValueError, match="total count exceeds"):
+            histogram_from_json(f"[{2**63 - 1}, 1]")
+        assert histogram_from_json(f"[{2**63 - 2}, 1]").N == 2**63 - 1
 
     def test_from_json_rejects_non_integers(self):
         with pytest.raises(ValueError):
