@@ -106,8 +106,12 @@ def _cmd_threshold(args) -> dict:
 
     t0 = time.perf_counter()
     if args.out:
+        quantized = quantize(img, tset)
+        # Nothing below reads the input image, so its bytes are freed
+        # before write_pgm makes the output file's bytes.
+        del img
         with open(args.out, "wb") as fh:
-            fh.write(write_pgm(quantize(img, tset)))
+            fh.write(write_pgm(quantized))
     quantize_s = time.perf_counter() - t0
 
     foreground_area = None

@@ -70,7 +70,10 @@ class Histogram:
 
 def histogram_from_json(text: str) -> Histogram:
     """Parse a histogram from a JSON array of per-level bin counts."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in data
     ):

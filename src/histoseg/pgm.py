@@ -104,7 +104,14 @@ def read_pgm(data: bytes) -> GrayImage:
     raster bytes that happen to look like whitespace survive.  Header
     fields and P2 samples must be ASCII decimal digits (no sign, no '_').
     A maxval below 255 is accepted as-is; samples are never rescaled.
+
+    A P5 image's pixels are a read-only view into the input bytes, with no
+    copy of the raster.  Any other buffer (a bytearray, a memoryview) is
+    first copied to bytes, so an image never aliases a caller's mutable
+    buffer.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise MalformedHeader(f"unsupported magic {magic!r}")
@@ -129,12 +136,11 @@ def read_pgm(data: bytes) -> GrayImage:
     if magic == b"P5":
         if pos >= len(data) or data[pos] not in _WS:
             raise MalformedHeader("missing whitespace after maxval")
-        # Copied out, not viewed: a view into `data` made a 2048^2
-        # `threshold --out` run about 3% slower end to end than this copy.
-        raster = data[pos + 1 : pos + 1 + expected]
-        if len(raster) < expected:
-            raise TruncatedPayload(f"expected {expected} bytes, found {len(raster)}")
-        px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        found = len(data) - pos - 1
+        if found < expected:
+            raise TruncatedPayload(f"expected {expected} bytes, found {found}")
+        px = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
+        px = px.reshape(height, width)
     else:
         px = _decode_p2(data[pos:], expected).reshape(height, width)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import histoseg.oracle
 import histoseg.pgm
 from histoseg.cli import main
 from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
-from histoseg.metrics import GrayImage
+from histoseg.metrics import GrayImage, quantize
 from histoseg.oracle import naive_variances
 from histoseg.pgm import histogram_of, read_pgm, write_pgm
 
@@ -135,6 +136,36 @@ class TestThreshold:
             above = img.pixels > data["thresholds"][0]
             expected = above if polarity == "above" else ~above
             assert data["foreground_area"] == int(expected.sum())
+
+    def test_out_is_the_quantized_input_over_several_slices(self, tmp_path):
+        # 256 x 257 pixels is more than one of quantize's 64 Ki-pixel slices
+        rng = np.random.default_rng(67)
+        src = tmp_path / "img.pgm"
+        src.write_bytes(write_pgm(GrayImage(pixels=rng.integers(0, 256, size=(256, 257)))))
+        before = src.read_bytes()
+        out = tmp_path / "q.pgm"
+        assert main(["threshold", str(src), "--levels", "4", "--out", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        img = read_pgm(before)
+        tset = thresholds_at(run_dendrogram(histogram_of(img)), 4)
+        assert out.read_bytes() == write_pgm(quantize(img, tset))
+        assert src.read_bytes() == before
+
+    def test_out_keeps_at_most_two_rasters_alive(self, tmp_path):
+        # The input file's bytes and the quantized output; the input is freed
+        # before write_pgm makes the output file's bytes.
+        size = 1024
+        src = tmp_path / "img.pgm"
+        src.write_bytes(write_pgm(standard_image(size)))
+        argv = ["threshold", str(src), "--levels", "4", "--out", str(tmp_path / "q.pgm"),
+                "--report", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size * size
 
 
 def _without_timings(path):

@@ -420,6 +420,10 @@ class TestHistogramIngestion:
         with pytest.raises(ValueError):
             histogram_from_json("{\"a\": 1}")
 
+    def test_from_json_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            histogram_from_json("[" * 100000)
+
     def test_from_csv(self):
         text = "gray,count\n# comment\n1,2\n2,2\n5,1\n"
         h = histogram_from_csv(text)

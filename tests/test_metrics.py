@@ -38,6 +38,12 @@ def mask(*rows):
     return BinaryMask(bits=np.array(rows, dtype=bool))
 
 
+def rounded_means_reference(px, t) -> bytes:
+    """The rounded means indexed by each pixel's class, in NumPy."""
+    classes = np.searchsorted(np.array(t.cuts, dtype=np.int64), px)
+    return np.floor(np.asarray(t.means) + 0.5).astype(np.uint8)[classes].tobytes()
+
+
 class TestGrayImage:
     def test_shape_and_dtype(self):
         img = gray([0, 128], [128, 255])
@@ -92,7 +98,6 @@ class TestQuantize:
                 assert np.array_equal(once.pixels, twice.pixels)
 
     def test_matches_rounded_mean_lookup(self):
-        # Reference: the rounded means indexed by each pixel's class, in NumPy.
         rng = np.random.default_rng(20261018)
         shapes = [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(12)]
         images = [standard_image(128)] + [
@@ -104,12 +109,25 @@ class TestQuantize:
             for px in (img.pixels, img.pixels.T, img.pixels[:, ::-1]):
                 view = GrayImage(pixels=px)
                 for t in tsets:
-                    classes = np.searchsorted(np.array(t.cuts, dtype=np.int64), px)
-                    want = np.floor(np.asarray(t.means) + 0.5).astype(np.uint8)[classes]
                     got = quantize(view, t)
                     assert isinstance(got, GrayImage)
                     assert got.pixels.dtype == np.uint8 and got.pixels.shape == px.shape
-                    assert got.pixels.tobytes() == want.tobytes()
+                    assert got.pixels.tobytes() == rounded_means_reference(px, t)
+
+    def test_matches_reference_across_slice_boundaries(self):
+        # quantize translates 64 Ki pixels at a time; these rasters end just
+        # before, at and just after a slice boundary, or span several slices.
+        rng = np.random.default_rng(20261019)
+        views = [rng.integers(0, 256, size=shape, dtype=np.uint8)
+                 for shape in ((1, 65535), (1, 65536), (1, 65537), (256, 256), (256, 257))]
+        views.append(rng.integers(0, 256, size=(300, 300), dtype=np.uint8).T)
+        for px in views:
+            img = GrayImage(pixels=px)
+            trace = run_dendrogram(histogram_of(img))
+            for t in thresholds_at_levels(trace, (2, 7, trace.initial.K)):
+                got = quantize(img, t).pixels
+                assert got.shape == px.shape
+                assert got.tobytes() == rounded_means_reference(px, t)
 
     def test_map_to_class_means_is_real_valued(self):
         img = gray([1, 1, 2, 2, 5])

@@ -102,6 +102,20 @@ class TestReadPgm:
         data = b"P5\n2 2\n255\n" + bytes([32, 10, 13, 9])
         assert read_pgm(data).pixels.tolist() == [[32, 10], [13, 9]]
 
+    def test_p5_pixels_are_a_read_only_view_of_the_input_bytes(self):
+        data = P5_MINIMAL + b"trailing bytes are ignored"
+        px = read_pgm(data).pixels
+        assert np.shares_memory(px, np.frombuffer(data, dtype=np.uint8))
+        assert not px.flags.writeable
+        with pytest.raises(ValueError):
+            px[0, 0] = 1
+
+    def test_p5_from_a_bytearray_does_not_alias_it(self):
+        buf = bytearray(P5_MINIMAL)
+        img = read_pgm(buf)
+        buf[-4:] = bytes([7, 7, 7, 7])
+        assert img.pixels.tolist() == [[0, 128], [128, 255]]
+
     def test_truncated_p5(self):
         with pytest.raises(TruncatedPayload):
             read_pgm(b"P5\n2 2\n255\n" + bytes([0, 1, 2]))

@@ -1,10 +1,14 @@
-"""README's Library example runs as written and its Public API list is __all__."""
+"""README's Library example runs as written, its Public API list is __all__,
+and its greedy-minus-optimal PSNR gap table matches a recomputation."""
 
 import re
 from pathlib import Path
 
 import histoseg
-from histoseg.pgm import write_pgm
+from histoseg.engine import run_dendrogram, thresholds_at
+from histoseg.metrics import histogram_psnr
+from histoseg.oracle import exhaustive_otsu
+from histoseg.pgm import histogram_of, write_pgm
 
 from helpers import standard_image
 
@@ -27,3 +31,19 @@ def test_public_api_list_matches_all():
     head, _, _ = paragraph.partition("Everything")
     listed = set(re.findall(r"`(\w+)`", head))
     assert listed == set(histoseg.__all__)
+
+
+def test_greedy_minus_optimal_gap_table():
+    rows = re.findall(r"^ *\| (M|gap) \|(.*)\| *$", README, re.M)
+    table = {}
+    for (m_head, m_cells), (gap_head, gap_cells) in zip(rows[::2], rows[1::2]):
+        assert (m_head, gap_head) == ("M", "gap")
+        table.update(zip(map(int, m_cells.split("|")), (g.strip() for g in gap_cells.split("|"))))
+    assert sorted(table) == list(range(2, 26))
+
+    h = histogram_of(standard_image(512))
+    trace = run_dendrogram(h)
+    for m, listed in table.items():
+        tsets = [thresholds_at(trace, m), exhaustive_otsu(h, m)]
+        [((_, greedy_db), _), ((_, optimal_db), _)] = histogram_psnr(h, tsets)
+        assert f"{optimal_db - greedy_db:.2f}" == listed, m
