@@ -4,19 +4,21 @@ The engine starts from one class per occupied gray level and repeatedly
 merges the adjacent pair whose pooled squared-mean gap is smallest,
 tracking unbiased within-class and between-class variance estimates with
 O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
-the only code that applies merges.  It keeps the pair distances in a
-float64 array with one fixed slot per initial cut, finds each merge with
-one argmin scan (the lowest slot wins ties) and keeps only the live cut
-points; the partition for any class count is read straight off its
+the only code that applies merges.  It keeps the live pair distances in
+a compacted float64 array in gray order, finds each merge with one
+argmin scan (the first minimum is the merged pair's index, so the lowest
+index wins ties) and keeps each class's exact count and gray sum as
+Python ints; the partition for any class count is read straight off its
 trace, with every class sum from Histogram.running_sums.
 """
 
 import json
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +45,17 @@ class Histogram:
     def __post_init__(self):
         if len(self.counts) == 0:
             raise ValueError("histogram needs at least one bin")
-        if any(c < 0 for c in self.counts):
+        # Bools are ints to operator.index, so they are refused by type.
+        types = set(map(type, self.counts))
+        if bool in types:
+            raise ValueError("bin counts must be integers")
+        if types != {int}:
+            # NumPy integers become Python ints, whose sums cannot wrap.
+            try:
+                object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
+            except TypeError:
+                raise ValueError("bin counts must be integers") from None
+        if min(self.counts) < 0:
             raise ValueError("bin counts must be non-negative")
         if sum(self.counts) > MAX_PIXELS:
             raise ValueError(f"total count exceeds {MAX_PIXELS} (2**63 - 1)")
@@ -57,14 +69,21 @@ class Histogram:
         return sum(self.counts)
 
     @cached_property
+    def occupied(self) -> tuple[int, ...]:
+        """The gray levels holding at least one pixel, ascending."""
+        return tuple(compress(range(len(self.counts)), self.counts))
+
+    @cached_property
     def running_sums(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Exact running sums (cn, c1, c2) of c, g*c and g*g*c, each from 0.
 
         Gray levels lo..hi hold cn[hi + 1] - cn[lo] pixels; c1 and c2 work alike.
         """
+        grays = range(len(self.counts))
+        sums = list(map(operator.mul, grays, self.counts))  # g*c of each level
         cn = (0, *accumulate(self.counts))
-        c1 = (0, *accumulate(g * c for g, c in enumerate(self.counts)))
-        c2 = (0, *accumulate(g * g * c for g, c in enumerate(self.counts)))
+        c1 = (0, *accumulate(sums))
+        c2 = (0, *accumulate(map(operator.mul, grays, sums)))
         return cn, c1, c2
 
 
@@ -162,13 +181,17 @@ class MergeTrace:
     """Complete record of a merge run, from the initial classes down."""
 
     histogram: Histogram
-    initial: ClassArray
     records: tuple[MergeRecord, ...]
     ss_total: float
 
     @property
     def G(self) -> int:
         return self.histogram.G
+
+    @cached_property
+    def initial(self) -> ClassArray:
+        """The one-class-per-occupied-level partition the run started from."""
+        return build_initial(self.histogram)
 
     def to_dict(self) -> dict:
         merges = []
@@ -236,72 +259,82 @@ def build_initial(h: Histogram) -> ClassArray:
     return ClassArray(classes=classes, grand_mean=c1[-1] / cn[-1], N=cn[-1])
 
 
+def _scatter_of_means(
+    classes: Iterable[tuple[int, float]], grand_mean: float, k: int
+) -> float | None:
+    """Size-weighted scatter of k (count, mean) classes about grand_mean, over k-1."""
+    if k < 2:
+        return None
+    acc = 0.0
+    for n, mean in classes:
+        diff = mean - grand_mean
+        acc += n * (diff * diff)
+    return acc / (k - 1)
+
+
 def between_class_variance(c: ClassArray) -> float | None:
     """Size-weighted scatter of class means about the grand mean, over K-1.
 
     Returns None for a single class, where the estimator is undefined.
     """
-    if c.K < 2:
-        return None
-    acc = 0.0
-    for rec in c.classes:
-        diff = rec.gray_sum / rec.n - c.grand_mean
-        acc += rec.n * (diff * diff)
-    return acc / (c.K - 1)
+    return _scatter_of_means(((r.n, r.gray_sum / r.n) for r in c.classes), c.grand_mean, c.K)
 
 
 def run_dendrogram(h: Histogram) -> MergeTrace:
     """Merge down to one class, recording every step.
 
     The trace holds the complete hierarchy, from which any class count
-    from 1 to K0 can be reconstructed with thresholds_at().  A pair
-    distance reads both classes' counts and gray sums off h.running_sums.
-    Distances sit in a float64 array with one fixed slot per initial cut,
-    in gray order, and a merged cut's slot holds +inf; each step is one
-    argmin over that array, a linear scan whose first minimum is the
-    lowest live index, so ties go to the lowest index.  Only the two
-    distances touching a merge are recomputed per step, so a run is
-    O(K0^2).
+    from 1 to K0 can be reconstructed with thresholds_at().  Each class
+    keeps its pixel count and exact gray sum as Python ints, so n1*n2 and
+    every sum are exact up to a pair distance's one float expression.  The
+    live distances sit compacted in gray order at the front of a float64
+    array: distance l joins classes l and l + 1.  Each step is one argmin
+    over them, a linear scan whose first minimum is the merged pair's
+    index, so ties go to the lowest index; the merged distance is shifted
+    out and only the two distances touching the new class are recomputed,
+    so a run is O(K0^2).
     """
-    initial = build_initial(h)
-    k0 = initial.K
+    grays = h.occupied
+    if not grays:
+        raise EmptyHistogram("histogram holds no pixels")
+    k0 = len(grays)
+    counts = h.counts
+    ns = [counts[g] for g in grays]  # pixels of each live class
+    ss = list(map(operator.mul, ns, grays))  # exact gray sum of each live class
+    cuts = list(grays[:-1])  # boundary gray of each live pair: its left class's top
 
-    gm = initial.grand_mean
-    ss_total = math.fsum(cnt * (g - gm) ** 2 for g, cnt in enumerate(h.counts) if cnt)
+    n_pixels = sum(ns)
+    gm = sum(ss) / n_pixels
+    ss_total = math.fsum(n * (g - gm) ** 2 for g, n in zip(grays, ns))
 
-    n_pixels = initial.N
-    cn, c1, _ = h.running_sums
-    # class j holds grays edges[j] + 1 .. edges[j + 1]
-    edges = [-1, *(c.g_hi for c in initial.classes)]
-
-    def pair_d_sq(j: int) -> float:
-        """n1*n2/(n1+n2) * (a1 - a2)^2 of classes j and j + 1."""
-        lo, mid, hi = edges[j] + 1, edges[j + 1] + 1, edges[j + 2] + 1
-        n1, n2 = cn[mid] - cn[lo], cn[hi] - cn[mid]
-        diff = (c1[mid] - c1[lo]) / n1 - (c1[hi] - c1[mid]) / n2
-        return n1 * n2 / (n1 + n2) * (diff * diff)
-
-    # Histogram's MAX_PIXELS bound keeps every live cost finite, so the
-    # +inf of a merged slot never ties one.
-    d2 = np.array([pair_d_sq(j) for j in range(k0 - 1)], dtype=np.float64)
-    live = list(range(k0 - 1))  # slots of the cuts still standing
+    # A single level's mean s/n is exactly its gray g.  Histogram's
+    # MAX_PIXELS bound keeps every cost finite.
+    d2 = np.array(
+        [n1 * n2 / (n1 + n2) * ((g1 - g2) * (g1 - g2))
+         for n1, g1, n2, g2 in zip(ns, grays, ns[1:], grays[1:])],
+        dtype=np.float64,
+    )
 
     v = 0.0
-    w = between_class_variance(initial)
-    records: list[MergeRecord] = []
+    w = _scatter_of_means(zip(ns, grays), gm, k0)
+    rows = []  # MergeRecord fields, one tuple per merge
     k = k0
     while k > 1:
-        s = int(d2.argmin())  # first minimum: the lowest live index wins ties
-        l = live.index(s)
-        d_sq = float(d2[s])
-        boundary = edges[l + 1]
-        d2[s] = math.inf
-        del edges[l + 1], live[l]
-        if l > 0:
-            d2[live[l - 1]] = pair_d_sq(l - 1)
-        if l < len(live):
-            d2[live[l]] = pair_d_sq(l)
+        l = int(d2[: k - 1].argmin())  # first minimum: the lowest index wins ties
+        d_sq = float(d2[l])
+        d2[l : k - 2] = d2[l + 1 : k - 1]
+        boundary = cuts.pop(l)
+        n1 = ns[l] = ns[l] + ns.pop(l + 1)
+        s1 = ss[l] = ss[l] + ss.pop(l + 1)
         k -= 1
+        if l > 0:
+            n0, s0 = ns[l - 1], ss[l - 1]
+            diff = s0 / n0 - s1 / n1
+            d2[l - 1] = n0 * n1 / (n0 + n1) * (diff * diff)
+        if l < k - 1:
+            n2, s2 = ns[l + 1], ss[l + 1]
+            diff = s1 / n1 - s2 / n2
+            d2[l] = n1 * n2 / (n1 + n2) * (diff * diff)
         # The within estimate absorbs d_sq and the between estimate sheds
         # it; both divisors follow the new class count k.
         dv = n_pixels - k
@@ -311,8 +344,9 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             q = v / w if w > 0 else None
         else:
             w = q = None
-        records.append(MergeRecord(len(records) + 1, l, boundary, d_sq, v, w, q, k))
-    return MergeTrace(histogram=h, initial=initial, records=tuple(records), ss_total=ss_total)
+        rows.append((k0 - k, l, boundary, d_sq, v, w, q, k))
+    records = tuple(map(MergeRecord._make, rows))
+    return MergeTrace(histogram=h, records=records, ss_total=ss_total)
 
 
 def check_level(m: int, k0: int) -> None:
@@ -329,7 +363,10 @@ def threshold_set(h: Histogram, cuts: tuple[int, ...], top: int) -> ThresholdSet
     """The classes `cuts` and `top` make of h, each mean read off h.running_sums."""
     cn, c1, _ = h.running_sums
     edges = [0, *(cut + 1 for cut in cuts), top + 1]
-    means = tuple((c1[b] - c1[a]) / (cn[b] - cn[a]) for a, b in zip(edges, edges[1:]))
+    # tuple() of a generator grows a 10-slot tuple by realloc, which leaves
+    # one tuple per call on the interpreter's free list for its final size
+    # until a full garbage collection; a list comprehension allocates it exact.
+    means = tuple([(c1[b] - c1[a]) / (cn[b] - cn[a]) for a, b in zip(edges, edges[1:])])
     return ThresholdSet(cuts=cuts, means=means, top=top)
 
 
@@ -350,17 +387,17 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
     again.  Levels may repeat and come in any order.
     """
     levels = list(levels)
-    k0 = trace.initial.K
+    k0 = len(trace.records) + 1
     for m in levels:
         check_level(m, k0)
     bounds = [r.boundary_gray for r in trace.records]
-    top = trace.initial.classes[-1].g_hi
+    top = trace.histogram.occupied[-1]
     return [threshold_set(trace.histogram, tuple(sorted(bounds[k0 - m :])), top) for m in levels]
 
 
 def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:
     """(v, w, q) of the m-class partition; v = 0 and the initial w when m = K0."""
-    k0 = trace.initial.K
+    k0 = len(trace.records) + 1
     check_level(m, k0)
     if m < k0:
         rec = trace.records[k0 - m - 1]

@@ -79,7 +79,7 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
         raise InvalidLevel(f"need at least two classes, got m={m}")
     if h.N == 0:
         raise EmptyHistogram("histogram holds no pixels")
-    occupied = [g for g, cnt in enumerate(h.counts) if cnt]
+    occupied = h.occupied
     k0 = len(occupied)
     check_level(m, k0)
 

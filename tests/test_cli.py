@@ -204,6 +204,39 @@ def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
             tmp_path / f"{name}-plain.json")
 
 
+def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
+    """K0, N and the top level come off the trace; no ClassRecord is built."""
+    src = tmp_path / "img.pgm"
+    src.write_bytes(write_pgm(standard_image(size=64)))
+    commands = {
+        "threshold": ["threshold", str(src), "--levels", "4"],
+        "threshold-out": ["threshold", str(src), "--levels", "2",
+                          "--out", str(tmp_path / "q.pgm")],
+        "sweep": ["sweep", str(src), "--levels-list", "2,3,5,10,25"],
+        "oracle": ["oracle", str(src), "--levels", "3"],
+    }
+
+    def run_all(tag):
+        reports = {}
+        for name, argv in commands.items():
+            path = tmp_path / f"{name}-{tag}.json"
+            assert main([*argv, "--report", str(path)]) == 0
+            data = json.loads(path.read_text())
+            data.pop("timings", None)
+            reports[name] = data
+        return reports, (tmp_path / "q.pgm").read_bytes()
+
+    before = run_all("plain")
+
+    def forbidden(h):
+        raise AssertionError("per-level records built")
+
+    monkeypatch.setattr(histoseg.engine, "build_initial", forbidden)
+    assert run_all("guarded") == before
+    assert main(["bench", "--bins-list", "16,32", "--repeat", "1",
+                 "--report", str(tmp_path / "bench.json")]) == 0
+
+
 def test_too_many_levels_same_message_everywhere(five_pixel_image, capsys):
     texts = []
     for argv in (["threshold", five_pixel_image, "--levels", "4"],

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from histoseg.engine import (
+    MAX_PIXELS,
     EmptyHistogram,
     Histogram,
     InvalidLevel,
@@ -52,6 +55,22 @@ class TestHistogram:
             hist_from({0: 10**305, 100: 10**305, 101: 5, 255: 10**305})
         with pytest.raises(ValueError, match="total count exceeds"):
             Histogram((2**62, 2**62))
+
+    def test_numpy_counts_become_python_ints(self):
+        # int64 addition once wrapped this total to -9223372036854775803,
+        # which slipped past the bound
+        with pytest.raises(ValueError, match="total count exceeds"):
+            Histogram(tuple(np.array([2**62, 2**62, 5])))
+        h = Histogram(tuple(np.array([3, 0, 2**62])))
+        assert h.counts == (3, 0, 2**62)
+        assert all(type(c) is int for c in h.counts)
+
+    @pytest.mark.parametrize(
+        "counts", [(1.5, 2.0, 3.0), (2.0, 1), (np.float64(2.0), 1), (True, 2), (np.True_, 2)]
+    )
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ValueError, match="bin counts must be integers"):
+            Histogram(counts)
 
     @pytest.mark.parametrize(
         "bins",
@@ -233,6 +252,69 @@ class TestRunDendrogram:
                 assert (rec.left_index, rec.d_sq, rec.boundary_gray) == (l, costs[l], classes[l][2])
                 (n1, s1, _), (n2, s2, g_hi) = classes[l : l + 2]
                 classes[l : l + 2] = [(n1 + n2, s1 + s2, g_hi)]
+
+    def test_merge_order_stays_exact_with_large_counts(self):
+        # counts in [2**50, 2**60] push n1*n2 past 2**53, where an int64 or
+        # float64 product would lose the exact pair cost
+        rng = random.Random(127)
+        hists = []
+        for _ in range(60):
+            k = rng.randint(2, 40)
+            hi = min(2**60, MAX_PIXELS // k)
+            hists.append(hist_from({g: rng.randint(2**50, hi) for g in rng.sample(range(256), k)}))
+        hists += [hist_from({0: 2**62, 255: 2**62 - 1}),
+                  hist_from({g: MAX_PIXELS // 256 for g in range(256)})]
+        for h in hists:
+            # (n, exact gray sum, top gray) of each class, rebuilt from scratch every step
+            classes = [(c, g * c, g) for g, c in enumerate(h.counts) if c]
+            trace = run_dendrogram(h)
+            assert len(trace.records) == len(classes) - 1
+            for rec in trace.records:
+                costs = []
+                for (n1, s1, _), (n2, s2, _) in zip(classes, classes[1:]):
+                    diff = s1 / n1 - s2 / n2
+                    costs.append(n1 * n2 / (n1 + n2) * (diff * diff))
+                l = costs.index(min(costs))
+                assert (rec.left_index, rec.d_sq, rec.boundary_gray) == (l, costs[l], classes[l][2])
+                (n1, s1, _), (n2, s2, g_hi) = classes[l : l + 2]
+                classes[l : l + 2] = [(n1 + n2, s1 + s2, g_hi)]
+
+    def test_greedy_on_d_sq_is_greedy_on_q(self):
+        """No adjacent merge leaves a smaller q = v/w, the paper's objective.
+
+        Each candidate's v and w come from the exact class sums of the
+        partition it would leave, compared by cross-multiplying ints.
+        """
+        for h in (h for family in merge_order_families().values() for h in family):
+            n_total = h.N
+            sq_total = sum(g * g * c for g, c in enumerate(h.counts))
+            classes = [(c, g * c) for g, c in enumerate(h.counts) if c]  # (n, exact gray sum)
+            s_total = sum(s for _, s in classes)
+            a = sum(Fraction(s * s, n) for n, s in classes)  # sum of S^2/n over the classes
+            for rec in run_dendrogram(h).records:
+                k = rec.K_after
+                if k < 2:
+                    break
+                qs = []
+                for (n1, s1), (n2, s2) in zip(classes, classes[1:]):
+                    # sum of S^2/n over the k classes merging this pair leaves, as x / y
+                    n12 = n1 * n2 * (n1 + n2)
+                    y = a.denominator * n12
+                    x = a.numerator * n12 + a.denominator * (
+                        (s1 + s2) ** 2 * n1 * n2 - s1 * s1 * n2 * (n1 + n2)
+                        - s2 * s2 * n1 * (n1 + n2)
+                    )
+                    within = sq_total * y - x  # scatter within classes, times y
+                    between = n_total * x - s_total * s_total * y  # times n_total * y
+                    # q = v / w, v = within / (N - k), w = between / (k - 1)
+                    qs.append((within * n_total * (k - 1), between * (n_total - k)))
+                num, den = qs[rec.left_index]
+                assert all(num * d <= n * den for n, d in qs)
+                l = rec.left_index
+                (n1, s1), (n2, s2) = classes[l : l + 2]
+                classes[l : l + 2] = [(n1 + n2, s1 + s2)]
+                a += Fraction((s1 + s2) ** 2, n1 + n2) - Fraction(s1 * s1, n1)
+                a -= Fraction(s2 * s2, n2)
 
     @pytest.mark.parametrize("size", [512, 2048])
     def test_recurrence_matches_naive_at_paper_scale(self, size):
