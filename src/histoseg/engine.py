@@ -9,7 +9,10 @@ a compacted float64 array in gray order, finds each merge with one
 argmin scan (the first minimum is the merged pair's index, so the lowest
 index wins ties) and keeps each class's exact count and gray sum as
 Python ints; the partition for any class count is read straight off its
-trace, with every class sum from Histogram.running_sums.
+trace, with every class sum from Histogram.running_sums.  The run stores
+the K0-class start state once, as its between-class variance w0, and
+builds no per-level class objects; MergeTrace.initial derives those from
+the histogram only when a caller asks.
 """
 
 import json
@@ -93,9 +96,7 @@ def histogram_from_json(text: str) -> Histogram:
         data = json.loads(text)
     except RecursionError:  # json's decoder recurses once per nesting level
         raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in data
-    ):
+    if not isinstance(data, list):  # Histogram refuses non-integer counts
         raise ValueError("expected a JSON array of integers")
     return Histogram(tuple(data))
 
@@ -150,7 +151,6 @@ class ClassArray:
     """Ordered, contiguous classes covering every pixel at one merge stage."""
 
     classes: tuple[ClassRecord, ...]
-    grand_mean: float
     N: int
 
     @property
@@ -178,11 +178,16 @@ class MergeRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class MergeTrace:
-    """Complete record of a merge run, from the initial classes down."""
+    """Complete record of a merge run, from the initial classes down.
+
+    w0 is the between-class variance of the K0 initial classes (v is 0
+    there), or None when K0 = 1; each record rolls v and w on from it.
+    """
 
     histogram: Histogram
     records: tuple[MergeRecord, ...]
     ss_total: float
+    w0: float | None
 
     @property
     def G(self) -> int:
@@ -191,7 +196,11 @@ class MergeTrace:
     @cached_property
     def initial(self) -> ClassArray:
         """The one-class-per-occupied-level partition the run started from."""
-        return build_initial(self.histogram)
+        counts = self.histogram.counts
+        classes = tuple(
+            ClassRecord(counts[g], g, g, counts[g] * g) for g in self.histogram.occupied
+        )
+        return ClassArray(classes=classes, N=self.histogram.N)
 
     def to_dict(self) -> dict:
         merges = []
@@ -208,14 +217,17 @@ class MergeTrace:
                 entry["q"] = r.q
             entry["K_after"] = r.K_after
             merges.append(entry)
+        cn, c1, _ = self.histogram.running_sums
+        counts = self.histogram.counts
         return {
             "G": self.G,
-            "N": self.initial.N,
-            "grand_mean": self.initial.grand_mean,
+            "N": cn[-1],
+            "grand_mean": c1[-1] / cn[-1],
             "ss_total": self.ss_total,
+            # a single level's mean c*g / c is exactly g
             "initial_classes": [
-                {"n": c.n, "a": c.gray_sum / c.n, "g_lo": c.g_lo, "g_hi": c.g_hi}
-                for c in self.initial.classes
+                {"n": counts[g], "a": float(g), "g_lo": g, "g_hi": g}
+                for g in self.histogram.occupied
             ],
             "merges": merges,
         }
@@ -240,44 +252,15 @@ class ThresholdSet:
         if len(self.means) != len(self.cuts) + 1:
             raise ValueError("need exactly one mean per class")
         bounds = self.cuts + (self.top,)
+        # A negative bound would index the histogram's running sums from the end.
+        if bounds[0] < 0:
+            raise ValueError("gray bounds must be non-negative")
         if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
             raise ValueError("cut points must be strictly increasing below top")
 
     @property
     def M(self) -> int:
         return len(self.means)
-
-
-def build_initial(h: Histogram) -> ClassArray:
-    """One class per occupied gray level; empty bins are dropped outright."""
-    cn, c1, _ = h.running_sums
-    if cn[-1] == 0:
-        raise EmptyHistogram("histogram holds no pixels")
-    classes = tuple(
-        ClassRecord(c, g, g, c * g) for g, c in enumerate(h.counts) if c
-    )
-    return ClassArray(classes=classes, grand_mean=c1[-1] / cn[-1], N=cn[-1])
-
-
-def _scatter_of_means(
-    classes: Iterable[tuple[int, float]], grand_mean: float, k: int
-) -> float | None:
-    """Size-weighted scatter of k (count, mean) classes about grand_mean, over k-1."""
-    if k < 2:
-        return None
-    acc = 0.0
-    for n, mean in classes:
-        diff = mean - grand_mean
-        acc += n * (diff * diff)
-    return acc / (k - 1)
-
-
-def between_class_variance(c: ClassArray) -> float | None:
-    """Size-weighted scatter of class means about the grand mean, over K-1.
-
-    Returns None for a single class, where the estimator is undefined.
-    """
-    return _scatter_of_means(((r.n, r.gray_sum / r.n) for r in c.classes), c.grand_mean, c.K)
 
 
 def run_dendrogram(h: Histogram) -> MergeTrace:
@@ -315,8 +298,15 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
         dtype=np.float64,
     )
 
-    v = 0.0
-    w = _scatter_of_means(zip(ns, grays), gm, k0)
+    # Size-weighted scatter of the level means about gm, over K0 - 1.
+    w0 = None
+    if k0 > 1:
+        acc = 0.0
+        for n, g in zip(ns, grays):
+            diff = g - gm
+            acc += n * (diff * diff)
+        w0 = acc / (k0 - 1)
+    v, w = 0.0, w0
     rows = []  # MergeRecord fields, one tuple per merge
     k = k0
     while k > 1:
@@ -346,7 +336,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             w = q = None
         rows.append((k0 - k, l, boundary, d_sq, v, w, q, k))
     records = tuple(map(MergeRecord._make, rows))
-    return MergeTrace(histogram=h, records=records, ss_total=ss_total)
+    return MergeTrace(histogram=h, records=records, ss_total=ss_total, w0=w0)
 
 
 def check_level(m: int, k0: int) -> None:
@@ -396,11 +386,10 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
 
 
 def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:
-    """(v, w, q) of the m-class partition; v = 0 and the initial w when m = K0."""
+    """(v, w, q) of the m-class partition; v = 0 and w = trace.w0 when m = K0."""
     k0 = len(trace.records) + 1
     check_level(m, k0)
     if m < k0:
         rec = trace.records[k0 - m - 1]
         return rec.v, rec.w, rec.q
-    v, w = 0.0, between_class_variance(trace.initial)
-    return v, w, (v / w if w else None)
+    return 0.0, trace.w0, (0.0 if trace.w0 else None)

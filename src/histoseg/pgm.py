@@ -146,9 +146,10 @@ def read_pgm(data: bytes) -> GrayImage:
 
     # Neither decode can yield a negative sample, so only the top is checked,
     # and not at all when the dtype holds nothing above maxval (P5 at 255).
+    # Past the check P2's int16 samples fit uint8, and GrayImage scans none.
     if maxval < np.iinfo(px.dtype).max and int(px.max()) > maxval:
         raise MalformedPayload("sample outside [0, maxval]")
-    return GrayImage(pixels=px)
+    return GrayImage(pixels=px.astype(np.uint8, copy=False))
 
 
 def write_pgm(img: GrayImage, fmt: str = "P5") -> bytes:

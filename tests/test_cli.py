@@ -205,14 +205,18 @@ def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
 
 
 def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
-    """K0, N and the top level come off the trace; no ClassRecord is built."""
+    """K0, N, w0 and the top level come off the trace, at every level up to K0."""
+    img = standard_image(size=64)
+    k0 = len(histogram_of(img).occupied)
     src = tmp_path / "img.pgm"
-    src.write_bytes(write_pgm(standard_image(size=64)))
+    src.write_bytes(write_pgm(img))
     commands = {
         "threshold": ["threshold", str(src), "--levels", "4"],
+        "threshold-k0": ["threshold", str(src), "--levels", str(k0)],
         "threshold-out": ["threshold", str(src), "--levels", "2",
                           "--out", str(tmp_path / "q.pgm")],
         "sweep": ["sweep", str(src), "--levels-list", "2,3,5,10,25"],
+        "sweep-k0": ["sweep", str(src), "--levels-list", f"2,10,{k0}"],
         "oracle": ["oracle", str(src), "--levels", "3"],
     }
 
@@ -228,10 +232,10 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
 
     before = run_all("plain")
 
-    def forbidden(h):
+    def forbidden(trace):
         raise AssertionError("per-level records built")
 
-    monkeypatch.setattr(histoseg.engine, "build_initial", forbidden)
+    monkeypatch.setattr(histoseg.engine.MergeTrace, "initial", property(forbidden))
     assert run_all("guarded") == before
     assert main(["bench", "--bins-list", "16,32", "--repeat", "1",
                  "--report", str(tmp_path / "bench.json")]) == 0

@@ -12,8 +12,7 @@ from histoseg.engine import (
     EmptyHistogram,
     Histogram,
     InvalidLevel,
-    between_class_variance,
-    build_initial,
+    ThresholdSet,
     histogram_from_csv,
     histogram_from_json,
     run_dendrogram,
@@ -92,31 +91,36 @@ class TestHistogram:
 
 
 class TestBuildInitial:
+    """The K0-class start state: trace.initial, w0 and variances_at(trace, K0)."""
+
     def test_three_bin_example(self):
-        c = build_initial(EXAMPLE)
-        assert c.K == 3
-        assert c.grand_mean == pytest.approx(2.2, rel=1e-12)
-        w0 = between_class_variance(c)
+        trace = run_dendrogram(EXAMPLE)
+        assert trace.initial.K == 3
+        assert trace.to_dict()["grand_mean"] == pytest.approx(2.2, rel=1e-12)
+        v0, w0, q0 = variances_at(trace, 3)
+        assert (v0, w0, q0) == (0.0, trace.w0, 0.0)
         assert w0 == pytest.approx(5.4, rel=1e-9)
         # cross-check against the independent naive recomputation
-        identity = thresholds_at(run_dendrogram(EXAMPLE), 3)
+        identity = thresholds_at(trace, 3)
         v_naive, w_naive = naive_variances(EXAMPLE, identity)
         assert v_naive == 0.0
         assert w_naive == pytest.approx(w0, rel=1e-9)
 
     def test_single_bin(self):
-        c = build_initial(hist_from({7: 10}))
-        assert c.K == 1
-        assert c.grand_mean == 7.0
-        assert between_class_variance(c) is None
+        trace = run_dendrogram(hist_from({7: 10}))
+        assert trace.initial.K == 1
+        assert trace.to_dict()["grand_mean"] == 7.0
+        assert trace.w0 is None
+        assert variances_at(trace, 1) == (0.0, None, None)
 
     def test_all_zero_raises(self):
         with pytest.raises(EmptyHistogram):
-            build_initial(Histogram((0,) * 256))
+            run_dendrogram(Histogram((0,) * 256))
 
     def test_empty_bins_dropped(self):
-        c = build_initial(EXAMPLE)
+        c = run_dendrogram(EXAMPLE).initial
         assert [(r.n, r.g_lo, r.g_hi) for r in c.classes] == [(2, 1, 1), (2, 2, 2), (1, 5, 5)]
+        assert [r.gray_sum for r in c.classes] == [2, 4, 5]
         assert sum(r.n for r in c.classes) == c.N
 
 
@@ -207,7 +211,7 @@ class TestRunDendrogram:
             trace = run_dendrogram(h)
             n = trace.initial.N
             k = trace.initial.K
-            w0 = between_class_variance(trace.initial) or 0.0
+            w0 = variances_at(trace, k)[1] or 0.0
             lhs = (n - k) * 0.0 + (k - 1) * w0
             assert abs(lhs - trace.ss_total) <= 1e-9 * max(1.0, trace.ss_total)
             for rec in trace.records:
@@ -402,6 +406,21 @@ class TestThresholdsAt:
                 assert len(fine - coarse) == 1
 
 
+class TestThresholdSet:
+    @pytest.mark.parametrize(
+        "cuts, means, top", [((-5,), (0.0, 2.0), 3), ((), (0.0,), -1)], ids=["cut", "top"]
+    )
+    def test_rejects_a_negative_gray_bound(self, cuts, means, top):
+        # over pixels 0..3, cuts=(-5,) would put every pixel in class 0 under
+        # quantize, and cut_set_errors would read cn[-4] from the end (scatter 2, not 5)
+        with pytest.raises(ValueError, match="gray bounds must be non-negative"):
+            ThresholdSet(cuts=cuts, means=means, top=top)
+
+    def test_bounds_at_gray_zero_are_valid(self):
+        assert ThresholdSet(cuts=(0,), means=(0.0, 2.0), top=3).M == 2
+        assert ThresholdSet(cuts=(), means=(0.0,), top=0).M == 1
+
+
 class TestThresholdsAtLevels:
     def test_one_pass_matches_per_level_replay(self):
         rng = random.Random(59)
@@ -452,8 +471,18 @@ class TestReadOff:
         for h in read_off_cases():
             trace = run_dendrogram(h)
             k0 = trace.initial.K
-            w0 = between_class_variance(trace.initial)
-            assert variances_at(trace, k0) == (0.0, w0, 0.0 if w0 else None)
+            v0, w0, q0 = variances_at(trace, k0)
+            assert (v0, q0) == (0.0, 0.0 if w0 else None)
+            if k0 == 1:
+                assert w0 is None
+            else:
+                # the start state against an independent recomputation...
+                _, w_naive = naive_variances(h, thresholds_at(trace, k0))
+                assert rel_err(w0, w_naive) <= 1e-12
+            if k0 >= 3:
+                # ...and as the value the first merge's recurrence rolled on from
+                k, first = k0 - 1, trace.records[0]
+                assert first.w == k / (k - 1) * w0 - first.d_sq / (k - 1)
             for rec in trace.records:
                 assert variances_at(trace, rec.K_after) == (rec.v, rec.w, rec.q)
 
@@ -501,6 +530,10 @@ class TestHistogramIngestion:
             histogram_from_json("[1, 2.5]")
         with pytest.raises(ValueError):
             histogram_from_json("{\"a\": 1}")
+        with pytest.raises(ValueError, match="bin counts must be integers"):
+            histogram_from_json("[true, 1]")
+        with pytest.raises(ValueError, match="bin counts must be integers"):
+            histogram_from_json('["1"]')
 
     def test_from_json_deep_nesting_is_a_value_error(self):
         with pytest.raises(ValueError, match="nested too deeply"):
