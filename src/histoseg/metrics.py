@@ -125,13 +125,20 @@ def cut_set_errors(
     not read.  Empty classes contribute nothing.  Raises RangeMismatch
     when the histogram has counts above a set's top.
     """
+    return [(Fraction(num, den), sse) for num, den, sse in _error_sums(h, tsets)]
+
+
+def _error_sums(h: Histogram, tsets: Iterable[ThresholdSet]):
+    """Yield cut_set_errors' (scatter, sse_rounded) of each set as (num, den, sse_rounded).
+
+    The scatter is num/den, the sum of (n*s2 - s1^2)/n over the classes,
+    left unreduced.
+    """
     cn, c1, c2 = h.running_sums
     last = h.G - 1
-    result = []
     for t in tsets:
         if cn[-1] > cn[min(t.top, last) + 1]:
             raise RangeMismatch(f"histogram has counts above threshold range top {t.top}")
-        # sum of (n*s2 - s1^2)/n over classes, as num/den without reducing
         num, den = 0, 1
         sse_rounded = 0
         lo = 0
@@ -146,8 +153,7 @@ def cut_set_errors(
                 r = (2 * s1 + n) // (2 * n)  # half-up, as quantize() rounds
                 sse_rounded += s2 - 2 * r * s1 + r * r * n
             lo = hi
-        result.append((Fraction(num, den), sse_rounded))
-    return result
+        yield num, den, sse_rounded
 
 
 def histogram_psnr(
@@ -160,14 +166,17 @@ def histogram_psnr(
     psnr(img, map_to_class_means(img, t)) and psnr(img, quantize(img, t))
     without a pass over the pixels.  Each MSE is the exact error sum of
     cut_set_errors over N, rounded once, so the real-mean value can differ
-    from the pixel route's float sum in the last digit.
+    from the pixel route's float sum in the last digit.  The real-mean
+    MSE is num / (den * N) of int operands: true division of ints is
+    correctly rounded, as float() of the reduced Fraction is, so it is the
+    same float without the Fraction's gcd.
     """
     n_total = h.N
     if n_total == 0:
         raise EmptyHistogram("histogram holds no pixels")
     return [
-        (_mse_psnr(float(scatter / n_total)), _mse_psnr(sse_rounded / n_total))
-        for scatter, sse_rounded in cut_set_errors(h, tsets)
+        (_mse_psnr(num / (den * n_total)), _mse_psnr(sse_rounded / n_total))
+        for num, den, sse_rounded in _error_sums(h, tsets)
     ]
 
 

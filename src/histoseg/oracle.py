@@ -17,6 +17,7 @@ from .engine import (
     InvalidLevel,
     ThresholdSet,
     check_level,
+    class_count,
     threshold_set,
 )
 
@@ -25,21 +26,23 @@ def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]
     """Within/between-class variance summed straight from the histogram.
 
     Each class of `t` spans the gray levels above the previous cut up to
-    its own cut (or `t.top`); its count, mean and scatter are recomputed
-    from the raw bins with no shared state.  Returns (v, w) with w None
-    for a single class; v is 0 when the within-class scatter vanishes,
-    even if N equals K.  Raises ValueError when `t` does not describe `h`:
-    a class is empty, a mean in `t.means` differs from the recomputed
-    one, or pixels lie above `t.top`.
+    its own cut (or `t.top`), clamped at the histogram's last level G - 1;
+    its count, mean and scatter are recomputed from the raw bins with no
+    shared state.  Returns (v, w) with w None for a single class; v is 0
+    when the within-class scatter vanishes, even if N equals K.  Raises
+    ValueError when `t` does not describe `h`: a class is empty, a mean
+    in `t.means` differs from the recomputed one, or pixels lie above
+    `t.top`.
     """
     n_total = h.N
     grand = sum(g * cnt for g, cnt in enumerate(h.counts)) / n_total
     ss_within = 0.0
     ss_between = 0.0
     covered = 0
+    last = h.G - 1
     lo = 0
     for hi, mean in zip(t.cuts + (t.top,), t.means):
-        span = range(lo, hi + 1)
+        span = range(lo, min(hi, last) + 1)
         lo = hi + 1
         n_k = sum(h.counts[g] for g in span)
         if n_k == 0:
@@ -72,9 +75,11 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     smallest cut set: every DP cell takes the smallest first-class end
     that reaches its exact optimum, and a cell with several float scores
     within rounding error of its maximum settles them exactly from the
-    integer class sums.  Raises InvalidLevel when m < 2 or fewer than m
-    levels are occupied and EmptyHistogram for no pixels.
+    integer class sums.  Raises InvalidLevel when m is not an integer,
+    m < 2 or fewer than m levels are occupied, and EmptyHistogram for no
+    pixels.
     """
+    m = class_count(m)
     if m < 2:
         raise InvalidLevel(f"need at least two classes, got m={m}")
     if h.N == 0:

@@ -16,6 +16,7 @@ from histoseg.engine import (
     histogram_from_csv,
     histogram_from_json,
     run_dendrogram,
+    threshold_set,
     thresholds_at,
     thresholds_at_levels,
     variances_at,
@@ -450,6 +451,92 @@ class TestThresholdsAtLevels:
             thresholds_at_levels(trace, [2, 0])
         with pytest.raises(InvalidLevel):
             thresholds_at_levels(trace, [4])
+
+
+def walk_cases() -> list[Histogram]:
+    """Seeded sparse and dense histograms, a test image's and the int64-max ones."""
+    rng = random.Random(67)
+    hists = [sparse_histogram(rng, max_bins=30, max_pixels=90) for _ in range(30)]
+    hists += [dense_histogram(rng, bins=rng.randint(2, 256)) for _ in range(4)]
+    hists += [hist_from({0: 2**62, 255: 2**62 - 1}),
+              hist_from({g: MAX_PIXELS // 256 for g in range(256)})]
+    return hists + [histogram_of(standard_image(128))]
+
+
+class TestLevelWalk:
+    """thresholds_at_levels builds each level from the one below it."""
+
+    @staticmethod
+    def from_scratch(trace, m):
+        """The m-class partition from its sorted cuts, every mean computed anew."""
+        k0 = len(trace.records) + 1
+        bounds = [r.boundary_gray for r in trace.records]
+        return threshold_set(
+            trace.histogram, tuple(sorted(bounds[k0 - m :])), trace.histogram.occupied[-1]
+        )
+
+    def test_single_levels(self):
+        for h in walk_cases():
+            trace = run_dendrogram(h)
+            k0 = len(trace.records) + 1
+            for m in {1, min(2, k0), k0}:
+                assert thresholds_at_levels(trace, [m]) == [self.from_scratch(trace, m)]
+
+    def test_repeated_and_unsorted_levels(self):
+        rng = random.Random(71)
+        for h in walk_cases():
+            trace = run_dendrogram(h)
+            k0 = len(trace.records) + 1
+            # 1 and K0 make one walk cover every level
+            levels = [rng.randint(1, k0) for _ in range(6)] + [k0, 1]
+            levels += levels[:2]
+            assert thresholds_at_levels(trace, levels) == [
+                self.from_scratch(trace, m) for m in levels
+            ]
+
+    def test_contiguous_and_sparse_lists(self):
+        # walked levels (a contiguous run) and rebuilt ones (wide gaps) in one call
+        for h in walk_cases():
+            trace = run_dendrogram(h)
+            k0 = len(trace.records) + 1
+            for levels in (
+                list(range(1, k0 + 1)),
+                [2, k0] if k0 >= 2 else [1],
+                list(range(1, k0 + 1, 10)),
+                [*range(2, min(k0, 26)), k0 // 2, k0 // 2 + 1, k0],
+            ):
+                levels = [m for m in levels if m >= 1]
+                assert thresholds_at_levels(trace, levels) == [
+                    self.from_scratch(trace, m) for m in levels
+                ]
+
+    def test_no_levels(self):
+        trace = run_dendrogram(EXAMPLE)
+        assert thresholds_at_levels(trace, []) == []
+        assert thresholds_at_levels(trace, iter(())) == []
+
+
+class TestClassCount:
+    @pytest.mark.parametrize("m", [2.0, 2.5, True, False, np.True_, np.float64(2.0), "2", None])
+    def test_non_integers_are_invalid_levels(self, m):
+        trace = run_dendrogram(EXAMPLE)
+        for call in (
+            lambda: thresholds_at(trace, m),
+            lambda: thresholds_at_levels(trace, [2, m]),
+            lambda: variances_at(trace, m),
+        ):
+            with pytest.raises(InvalidLevel, match="class count must be an integer"):
+                call()
+
+    def test_numpy_integers_are_class_counts(self):
+        trace = run_dendrogram(EXAMPLE)
+        for m in (1, 2, 3):
+            for n in (np.int64(m), np.uint8(m), np.int32(m)):
+                assert thresholds_at(trace, n) == thresholds_at(trace, m)
+                assert thresholds_at_levels(trace, [n, m]) == thresholds_at_levels(trace, [m, m])
+                assert variances_at(trace, n) == variances_at(trace, m)
+        with pytest.raises(InvalidLevel, match="only 3 occupied"):
+            thresholds_at(trace, np.int64(4))
 
 
 def read_off_cases():

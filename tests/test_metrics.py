@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from histoseg.engine import (
+    MAX_PIXELS,
     EmptyHistogram,
     ThresholdSet,
     run_dendrogram,
@@ -27,7 +28,14 @@ from histoseg.metrics import (
 )
 from histoseg.pgm import histogram_of
 
-from helpers import hist_from, rel_err, small_image, standard_image
+from helpers import (
+    dense_histogram,
+    hist_from,
+    rel_err,
+    small_image,
+    sparse_histogram,
+    standard_image,
+)
 
 
 def gray(*rows):
@@ -270,6 +278,39 @@ class TestHistogramPsnr:
         with_gap = ThresholdSet(cuts=(2, 3), means=(1.5, 3.0, 5.0), top=5)
         plain = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
         assert cut_set_errors(h, [with_gap, plain]) == [(1, 2), (1, 2)]
+
+    def test_real_mse_is_the_exact_scatter_over_n_rounded_once(self):
+        # num / (den * N) of ints against float() of the reduced Fraction,
+        # over cut sets nested or not, some with empty classes
+        rng = random.Random(131)
+        hists = [sparse_histogram(rng, max_bins=30, max_pixels=300) for _ in range(40)]
+        hists += [dense_histogram(rng, bins=rng.randint(2, 256), max_count=5000)
+                  for _ in range(10)]
+        for _ in range(40):
+            levels = rng.sample(range(64), rng.randint(4, 20))
+            hists.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
+        for _ in range(40):
+            k = rng.randint(2, 40)
+            hi = min(2**60, MAX_PIXELS // k)
+            hists.append(hist_from({g: rng.randint(2**50, hi) for g in rng.sample(range(256), k)}))
+        checked = 0
+        for h in hists:
+            n_total = h.N
+            top = h.occupied[-1]
+            tsets = []
+            for _ in range(8):
+                cuts = tuple(sorted(rng.sample(range(top), rng.randint(0, min(top, 12)))))
+                last = rng.choice((top, h.G - 1, h.G + 3))
+                tsets.append(ThresholdSet(cuts=cuts, means=(0.0,) * (len(cuts) + 1), top=last))
+            trace = run_dendrogram(h)
+            tsets += thresholds_at_levels(trace, range(1, min(len(trace.records) + 1, 30) + 1))
+            for (scatter, _), (real, _) in zip(cut_set_errors(h, tsets), histogram_psnr(h, tsets)):
+                mse = float(scatter / n_total)
+                assert real[0] == mse
+                db = 10 * math.log10(255**2 / mse) if mse else math.inf
+                assert real == (mse, db)
+                checked += 1
+        assert checked > 2000
 
     def test_range_mismatch(self):
         h = hist_from({1: 1, 7: 1})

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from histoseg.engine import (
@@ -79,6 +80,23 @@ class TestNaiveVariances:
         # the pixel at gray 5 lies above top
         with pytest.raises(ValueError):
             naive_variances(EXAMPLE, ThresholdSet(cuts=(), means=(1.5,), top=2))
+
+    def test_bounds_past_the_last_bin_are_clamped(self):
+        # once an IndexError from h.counts[4]: the last class spans grays 2..3
+        h = Histogram((1, 1, 1, 1))
+        v, w = naive_variances(h, ThresholdSet(cuts=(1,), means=(0.5, 2.5), top=9))
+        assert (v, w) == (0.5, 4.0)
+        assert naive_variances(h, ThresholdSet(cuts=(), means=(1.5,), top=4)) == (
+            naive_variances(h, ThresholdSet(cuts=(), means=(1.5,), top=3))
+        )
+
+    def test_class_left_empty_by_the_clamp(self):
+        # the class (3, 5] lies wholly above the last bin, gray 3
+        with pytest.raises(ValueError, match="class ending at gray 5 holds no pixels"):
+            naive_variances(
+                Histogram((1, 1, 1, 1)),
+                ThresholdSet(cuts=(3, 5), means=(1.5, 4.0, 6.0), top=9),
+            )
 
 
 class TestExhaustiveOtsu:
@@ -178,6 +196,14 @@ class TestExhaustiveOtsu:
             exhaustive_otsu(EXAMPLE, 1)
         with pytest.raises(EmptyHistogram):
             exhaustive_otsu(Histogram((0,) * 256), 2)
+
+    @pytest.mark.parametrize("m", [2.0, 2.5, True, "2", None])
+    def test_non_integer_class_count(self, m):
+        with pytest.raises(InvalidLevel, match="class count must be an integer"):
+            exhaustive_otsu(EXAMPLE, m)
+
+    def test_numpy_integer_class_count(self):
+        assert exhaustive_otsu(EXAMPLE, np.int64(2)) == exhaustive_otsu(EXAMPLE, 2)
 
     def test_never_beaten_by_engine(self):
         rng = random.Random(97)
