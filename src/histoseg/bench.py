@@ -22,8 +22,8 @@ def run_benchmark(bins_list, repeat: int = 5) -> dict:
 
     Returns one row per size with the median wall clock over `repeat`
     runs plus the 2-class thresholds as a determinism witness, and the
-    slope of a log-log least-squares fit across sizes (None for a single
-    size).
+    slope of a log-log least-squares fit across sizes (None unless there
+    are at least two distinct sizes, as a line through one x is no fit).
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
@@ -46,7 +46,7 @@ def run_benchmark(bins_list, repeat: int = 5) -> dict:
             }
         )
     slope = None
-    if len(rows) >= 2:
+    if len({row["bins"] for row in rows}) >= 2:
         xs = np.log([row["bins"] for row in rows])
         ys = np.log([row["median_ms"] for row in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])

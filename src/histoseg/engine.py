@@ -9,13 +9,15 @@ float64 slot, the distance to its live right neighbour (+inf once merged
 away, and for the last class), links neighbours through two index lists,
 finds each merge with one argmin scan (the first minimum is the lowest
 slot, so the lowest gray wins ties) and keeps each class's exact count
-and gray sum as Python ints; nothing is shifted as classes go.  The
-partitions for any class counts are read off its trace in one walk up
-it, which puts one cut back per level, with every class sum from
-Histogram.running_sums.  The run stores the K0-class start state once,
-as its between-class variance w0, and builds no per-level class objects;
-MergeTrace.initial derives those from the histogram only when a caller
-asks.
+and gray sum as Python ints; nothing is shifted as classes go.  Each
+merge is recorded as it is made, by the cut it removed and v, w and q,
+the same fields its to_json() entry holds; nothing passes over the
+records afterwards.  The partitions for any class counts are read off
+its trace in one walk up it, which puts one cut back per level, with
+every class sum from Histogram.running_sums.  The run stores the
+K0-class start state once, as its between-class variance w0, and builds
+no per-level class objects; MergeTrace.initial derives those from the
+histogram only when a caller asks.
 """
 
 import json
@@ -163,15 +165,15 @@ class ClassArray:
 
 
 class MergeRecord(NamedTuple):
-    """One merge: which adjacent pair went, plus the tracked statistics.
+    """One merge: the cut it removed, plus the tracked statistics.
 
-    w and q are None once a single class remains (the between-class
-    estimator loses its degrees of freedom); q is also None if w reaches
-    zero.
+    The fields, in order, are the merge's to_json() entry.  w and q are
+    None once a single class remains (the between-class estimator loses
+    its degrees of freedom); q is also None if w reaches zero, and the
+    entry leaves a None out.
     """
 
     step: int
-    left_index: int
     boundary_gray: int
     d_sq: float
     v: float
@@ -207,20 +209,6 @@ class MergeTrace:
         return ClassArray(classes=classes, N=self.histogram.N)
 
     def to_dict(self) -> dict:
-        merges = []
-        for r in self.records:
-            entry: dict = {
-                "step": r.step,
-                "boundary_gray": r.boundary_gray,
-                "d_sq": r.d_sq,
-                "v": r.v,
-            }
-            if r.w is not None:
-                entry["w"] = r.w
-            if r.q is not None:
-                entry["q"] = r.q
-            entry["K_after"] = r.K_after
-            merges.append(entry)
         cn, c1, _ = self.histogram.running_sums
         counts = self.histogram.counts
         return {
@@ -233,7 +221,11 @@ class MergeTrace:
                 {"n": counts[g], "a": float(g), "g_lo": g, "g_hi": g}
                 for g in self.histogram.occupied
             ],
-            "merges": merges,
+            # a record's fields are its entry's keys; a None w or q is left out
+            "merges": [
+                {f: x for f, x in zip(MergeRecord._fields, r) if x is not None}
+                for r in self.records
+            ],
         }
 
     def to_json(self) -> str:
@@ -281,9 +273,8 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     is the lowest slot, which is the lowest gray, so ties go to the lowest
     index.  Lists prv/nxt link each class to its neighbours, and only the
     two distances touching the new class are recomputed, so nothing is
-    shifted and a run is O(K0^2).  Each record's left_index is filled in
-    afterwards: it is the rank of its boundary among the boundaries merged
-    later, which are the cuts still standing when it was merged.
+    shifted and a run is O(K0^2).  Each merge's record is appended as it
+    is made; nothing passes over the records after the loop.
     """
     grays = h.occupied
     if not grays:
@@ -318,7 +309,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     v, w = 0.0, w0
     inf = math.inf
     argmin, item = d2.argmin, d2.item  # bound once for the K0 - 1 calls
-    rows = []  # MergeRecord fields of each merge, left_index filled in below
+    records = []
     for k in range(k0 - 1, 0, -1):  # k: the class count the merge leaves
         l = int(argmin())  # first minimum: the lowest slot wins ties
         d_sq = item(l)
@@ -349,16 +340,8 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             q = v / w if w > 0 else None
         else:
             w = q = None
-        rows.append([k0 - k, 0, boundary, d_sq, v, w, q, k])
-
-    # A merge's left index counts the cuts left of its boundary that were
-    # still standing: the lower ones among the boundaries merged later.
-    later: list[int] = []
-    for row in reversed(rows):
-        row[1] = pos = bisect_left(later, row[2])
-        later.insert(pos, row[2])
-    records = tuple(map(MergeRecord._make, rows))
-    return MergeTrace(histogram=h, records=records, ss_total=ss_total, w0=w0)
+        records.append(MergeRecord(k0 - k, boundary, d_sq, v, w, q, k))
+    return MergeTrace(histogram=h, records=tuple(records), ss_total=ss_total, w0=w0)
 
 
 def class_count(m: int) -> int:
@@ -400,7 +383,11 @@ def threshold_set(h: Histogram, cuts: tuple[int, ...], top: int) -> ThresholdSet
 # thresholds_at_levels() walks up to level m from the level built before it
 # when at most 1/_WALK_SHARE of m's classes are new.  Timed on the 256^2 and
 # 2048^2 test images (K0 = 228, 249), walking costs as much as building m from
-# its sorted cuts once about a third of its classes are new.
+# its sorted cuts once about a third of its classes are new.  Neither path
+# alone does as well: in-process medians of 15 alternating rounds on the 256^2
+# image, this choice / walk only / build only, are 0.130 / 0.121 / 0.188 ms for
+# levels 2..25, 0.084 / 0.229 / 0.080 ms for [K0], 0.096 / 0.265 / 0.078 ms for
+# [2, K0] and 0.380 / 0.387 / 0.750 ms for every 10th level (2-vCPU host).
 _WALK_SHARE = 4
 
 

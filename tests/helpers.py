@@ -1,6 +1,7 @@
 """Shared generators and assertion helpers for the test suite."""
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 
@@ -70,11 +71,27 @@ def standard_image(size: int = 512, seed: int = 7) -> GrayImage:
     return GrayImage(pixels=px.astype(np.uint8))
 
 
-def replay_thresholds(trace, levels):
-    """Reference for thresholds_at_levels: re-apply every merge by left_index.
+def left_indices(records) -> list[int]:
+    """The index of each merge's left class among the classes it was made from.
 
-    Walks down from the initial classes once, merging each record's pair
-    in turn, and takes each requested partition as it passes.
+    That is the rank of the record's boundary among the boundaries merged
+    later, which are the cuts still standing when it was merged.
+    """
+    later: list[int] = []
+    ranks = []
+    for rec in reversed(records):
+        pos = bisect_left(later, rec.boundary_gray)
+        later.insert(pos, rec.boundary_gray)
+        ranks.append(pos)
+    return ranks[::-1]
+
+
+def replay_thresholds(trace, levels):
+    """Reference for thresholds_at_levels: re-apply every merge in turn.
+
+    Walks down from the initial classes once, merging the class whose top
+    gray is each record's boundary into its right neighbour, and takes
+    each requested partition as it passes.
     """
     levels = list(levels)
     ns = [c.n for c in trace.initial.classes]
@@ -84,7 +101,7 @@ def replay_thresholds(trace, levels):
     records = iter(trace.records)
     for m in sorted(set(levels), reverse=True):
         while len(ns) > m:
-            l = next(records).left_index
+            l = ghis.index(next(records).boundary_gray)
             ns[l] += ns[l + 1]
             sums[l] += sums[l + 1]
             ghis[l] = ghis[l + 1]

@@ -1,3 +1,5 @@
+import pytest
+
 from histoseg.bench import run_benchmark, synthetic_histogram
 
 
@@ -26,6 +28,14 @@ class TestRunBenchmark:
         result = run_benchmark([16, 64], repeat=2)
         assert len(result["rows"]) == 2
         assert isinstance(result["slope"], float)
+
+    @pytest.mark.parametrize(
+        "bins_list, slope_type", [([32, 32], type(None)), ([16, 16, 64], float)]
+    )
+    def test_slope_needs_two_distinct_sizes(self, bins_list, slope_type):
+        result = run_benchmark(bins_list, repeat=1)
+        assert len(result["rows"]) == len(bins_list)
+        assert isinstance(result["slope"], slope_type)
 
     def test_thresholds_independent_of_repeat(self):
         one = run_benchmark([32], repeat=1)

@@ -27,6 +27,7 @@ from histoseg.pgm import histogram_of
 from helpers import (
     dense_histogram,
     hist_from,
+    left_indices,
     rel_err,
     replay_thresholds,
     sparse_histogram,
@@ -128,8 +129,9 @@ class TestBuildInitial:
 class TestFindMinPair:
     def test_picks_smallest(self):
         # the cheapest pair of EXAMPLE is the first one, (1, 2), cut at gray 1
-        first = run_dendrogram(EXAMPLE).records[0]
-        assert first.left_index == 0
+        records = run_dendrogram(EXAMPLE).records
+        first = records[0]
+        assert left_indices(records)[0] == 0
         assert first.boundary_gray == 1
         assert first.d_sq == pytest.approx(1.0, rel=1e-9)
 
@@ -171,8 +173,9 @@ class TestRunDendrogram:
         assert trace.ss_total == pytest.approx(10.8, rel=1e-12)
 
     def test_tie_goes_to_lowest_index(self):
-        first = run_dendrogram(hist_from({0: 1, 1: 1, 2: 1})).records[0]
-        assert first.left_index == 0
+        records = run_dendrogram(hist_from({0: 1, 1: 1, 2: 1})).records
+        first = records[0]
+        assert left_indices(records)[0] == 0
         assert first.boundary_gray == 0
 
     def test_single_class_histogram(self):
@@ -182,7 +185,7 @@ class TestRunDendrogram:
 
     def test_two_classes(self):
         (rec,) = run_dendrogram(hist_from({3: 2, 9: 1})).records
-        assert rec == (1, 0, 3, 24.0, 12.0, None, None, 1)
+        assert rec == (1, 3, 24.0, 12.0, None, None, 1)
 
     @pytest.mark.parametrize(
         "bins, merged",
@@ -195,7 +198,8 @@ class TestRunDendrogram:
     )
     def test_first_and_last_slot_merges(self, bins, merged):
         trace = run_dendrogram(hist_from(bins))
-        assert [(r.left_index, r.boundary_gray) for r in trace.records] == merged
+        lefts = left_indices(trace.records)
+        assert list(zip(lefts, [r.boundary_gray for r in trace.records])) == merged
         assert [r.K_after for r in trace.records] == list(range(len(merged), 0, -1))
 
     def test_records_are_immutable(self):
@@ -254,7 +258,8 @@ class TestRunDendrogram:
                     diff = s1 / n1 - s2 / n2
                     costs.append(n1 * n2 / (n1 + n2) * (diff * diff))
                 l = costs.index(min(costs))
-                assert (rec.left_index, rec.d_sq, rec.boundary_gray) == (l, costs[l], classes[l][2])
+                # boundary grays are distinct, so the top gray pins class l
+                assert (rec.d_sq, rec.boundary_gray) == (costs[l], classes[l][2])
                 (n1, s1, _), (n2, s2, g_hi) = classes[l : l + 2]
                 classes[l : l + 2] = [(n1 + n2, s1 + s2, g_hi)]
 
@@ -280,7 +285,8 @@ class TestRunDendrogram:
                     diff = s1 / n1 - s2 / n2
                     costs.append(n1 * n2 / (n1 + n2) * (diff * diff))
                 l = costs.index(min(costs))
-                assert (rec.left_index, rec.d_sq, rec.boundary_gray) == (l, costs[l], classes[l][2])
+                # boundary grays are distinct, so the top gray pins class l
+                assert (rec.d_sq, rec.boundary_gray) == (costs[l], classes[l][2])
                 (n1, s1, _), (n2, s2, g_hi) = classes[l : l + 2]
                 classes[l : l + 2] = [(n1 + n2, s1 + s2, g_hi)]
 
@@ -294,6 +300,7 @@ class TestRunDendrogram:
             n_total = h.N
             sq_total = sum(g * g * c for g, c in enumerate(h.counts))
             classes = [(c, g * c) for g, c in enumerate(h.counts) if c]  # (n, exact gray sum)
+            tops = [g for g, c in enumerate(h.counts) if c]  # top gray of each class
             s_total = sum(s for _, s in classes)
             a = sum(Fraction(s * s, n) for n, s in classes)  # sum of S^2/n over the classes
             for rec in run_dendrogram(h).records:
@@ -313,9 +320,10 @@ class TestRunDendrogram:
                     between = n_total * x - s_total * s_total * y  # times n_total * y
                     # q = v / w, v = within / (N - k), w = between / (k - 1)
                     qs.append((within * n_total * (k - 1), between * (n_total - k)))
-                num, den = qs[rec.left_index]
+                l = tops.index(rec.boundary_gray)
+                num, den = qs[l]
                 assert all(num * d <= n * den for n, d in qs)
-                l = rec.left_index
+                del tops[l]
                 (n1, s1), (n2, s2) = classes[l : l + 2]
                 classes[l : l + 2] = [(n1 + n2, s1 + s2)]
                 a += Fraction((s1 + s2) ** 2, n1 + n2) - Fraction(s1 * s1, n1)
@@ -357,8 +365,8 @@ def test_traces_are_byte_identical_to_pinned_digests(case):
     for h in hists:
         trace = run_dendrogram(h)
         fields = [
-            (r.left_index, r.boundary_gray, r.d_sq, r.v, r.w, r.q, r.K_after)
-            for r in trace.records
+            (l, r.boundary_gray, r.d_sq, r.v, r.w, r.q, r.K_after)
+            for l, r in zip(left_indices(trace.records), trace.records)
         ]
         digest.update(trace.to_json().encode())
         digest.update(repr(fields).encode())

@@ -1,10 +1,13 @@
-"""README's Library example runs as written, its Public API list is __all__,
-and its greedy-minus-optimal PSNR gap table matches a recomputation."""
+"""README's command-line examples parse, its Library example runs as written,
+its Public API list is __all__, and its greedy-minus-optimal PSNR gap table
+matches a recomputation."""
 
 import re
+import shlex
 from pathlib import Path
 
 import histoseg
+from histoseg.cli import _PARSER
 from histoseg.engine import run_dendrogram, thresholds_at
 from histoseg.metrics import histogram_psnr
 from histoseg.oracle import exhaustive_otsu
@@ -13,6 +16,16 @@ from histoseg.pgm import histogram_of, write_pgm
 from helpers import standard_image
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_command_line_examples_parse():
+    [block] = re.findall(r"## Command line\n.*?```sh\n(.*?)```", README, re.S)
+    commands = [line for line in block.splitlines() if line.startswith("histoseg ")]
+    assert len(commands) == 5
+    for line in commands:
+        # a flag the parser does not know exits through SystemExit
+        _, command, *argv = shlex.split(line)
+        assert _PARSER.parse_args([command, *argv]).command == command
 
 
 def test_library_example_runs(tmp_path, monkeypatch):
