@@ -69,15 +69,18 @@ def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
     return BinaryMask(bits=~bits if invert else bits)
 
 
-def _class_table(img: GrayImage, t: ThresholdSet, values: np.ndarray) -> np.ndarray:
-    """256-entry table holding values[k] at every gray level of class k.
-
-    Entries above t.top stay zero.  Raises RangeMismatch when a pixel of
-    img lies above t.top, so no pixel can reach those entries.
-    """
+def _check_range(img: GrayImage, t: ThresholdSet) -> None:
+    """Raise RangeMismatch when a pixel of img lies above t.top."""
     top = int(img.pixels.max())
     if top > t.top:
         raise RangeMismatch(f"pixel value {top} exceeds threshold range top {t.top}")
+
+
+def _class_table(t: ThresholdSet, values: np.ndarray) -> np.ndarray:
+    """256-entry table holding values[k] at every gray level of class k.
+
+    Entries above t.top stay zero; callers keep pixels from reaching them.
+    """
     table = np.zeros(256, dtype=values.dtype)
     lo = 0
     for hi, value in zip(t.cuts + (t.top,), values):
@@ -94,21 +97,30 @@ def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     64 KiB slices written into one preallocated output.  So for a
     C-contiguous image, as read_pgm gives, the output is the only
     raster-sized buffer made; a non-contiguous view is first copied in
-    row-major order.
+    row-major order.  Each translate also deletes the gray levels above
+    t.top, so a slice that comes back short, and no longer fits its place
+    in the output, held such a pixel and raises RangeMismatch; the raster
+    is scanned for its maximum only then, to name it in the message.
     """
     means = np.asarray(t.means, dtype=np.float64)
-    table = _class_table(img, t, np.floor(means + 0.5).astype(np.uint8)).tobytes()
+    table = _class_table(t, np.floor(means + 0.5).astype(np.uint8)).tobytes()
+    above = bytes(range(min(t.top, 255) + 1, 256))
     src = img.pixels.ravel()
     out = np.empty(img.pixels.shape, dtype=np.uint8)
     dst = memoryview(out).cast("B")
     for i in range(0, src.size, _SLICE):
-        dst[i : i + _SLICE] = src[i : i + _SLICE].tobytes().translate(table)
+        try:
+            dst[i : i + _SLICE] = src[i : i + _SLICE].tobytes().translate(table, above)
+        except ValueError:  # a short slice: translate deleted a pixel above t.top
+            _check_range(img, t)
+            raise
     return GrayImage(pixels=out)
 
 
 def map_to_class_means(img: GrayImage, t: ThresholdSet) -> np.ndarray:
     """Per-pixel real-valued class means (no rounding), for use with psnr()."""
-    return _class_table(img, t, np.asarray(t.means, dtype=np.float64))[img.pixels]
+    _check_range(img, t)
+    return _class_table(t, np.asarray(t.means, dtype=np.float64))[img.pixels]
 
 
 def cut_set_errors(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -151,10 +152,10 @@ class TestThreshold:
         assert out.read_bytes() == write_pgm(quantize(img, tset))
         assert src.read_bytes() == before
 
-    def test_out_keeps_at_most_two_rasters_alive(self, tmp_path):
+    @pytest.mark.parametrize("size", [1024, 2048])  # 2048**2 takes histogram_of's pair path
+    def test_out_keeps_at_most_two_rasters_alive(self, tmp_path, size):
         # The input file's bytes and the quantized output; the input is freed
         # before write_pgm makes the output file's bytes.
-        size = 1024
         src = tmp_path / "img.pgm"
         src.write_bytes(write_pgm(standard_image(size)))
         argv = ["threshold", str(src), "--levels", "4", "--out", str(tmp_path / "q.pgm"),
@@ -166,6 +167,21 @@ class TestThreshold:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * size * size
+
+
+def test_threshold_out_at_2048_is_byte_identical_to_pinned_digests(tmp_path, monkeypatch):
+    """The --out image and the report, less timings, of one pair-path-sized op."""
+    monkeypatch.chdir(tmp_path)  # so the report's input path is "img.pgm"
+    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(2048, 7)))
+    assert main(["threshold", "img.pgm", "--levels", "4", "--out", "q.pgm",
+                 "--report", "r.json"]) == 0
+    report = json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n"
+    assert hashlib.sha256((tmp_path / "q.pgm").read_bytes()).hexdigest() == (
+        "41ed66b5be3f2242647930a09add1ab2395d5a385ee2679e480b82592a9aaa2c"
+    )
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "13551abfb05617162433c350b0b918db2a1c8c315ae615aa2f69a391ac895f06"
+    )
 
 
 def _without_timings(path):

@@ -92,6 +92,26 @@ class TestQuantize:
         with pytest.raises(RangeMismatch):
             map_to_class_means(gray([1, 7]), t)
 
+    def test_range_mismatch_only_in_last_slice(self):
+        # 65537 pixels make two 64 KiB translate slices; the second holds one,
+        # the lowest gray above top.
+        px = np.zeros((1, 65537), dtype=np.uint8)
+        px[0, -1] = 6
+        t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
+        with pytest.raises(RangeMismatch, match=r"^pixel value 6 exceeds threshold range top 5$"):
+            quantize(GrayImage(pixels=px), t)
+
+    def test_range_mismatch_in_transposed_view(self):
+        # Pixel 399 of the raster, but of the view's row-major order the
+        # 119701st, in its second translate slice.
+        px = np.ones((300, 400), dtype=np.uint8)
+        px[0, -1] = 9
+        img = GrayImage(pixels=px.T)
+        assert not img.pixels.flags.c_contiguous
+        t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
+        with pytest.raises(RangeMismatch, match=r"^pixel value 9 exceeds threshold range top 5$"):
+            quantize(img, t)
+
     def test_idempotent_with_engine_thresholds(self):
         rng = np.random.default_rng(61)
         for _ in range(20):

@@ -6,6 +6,7 @@ import pytest
 
 from histoseg.metrics import GrayImage
 from histoseg.pgm import (
+    _PAIR_MIN,
     MalformedHeader,
     MalformedPayload,
     PgmError,
@@ -312,3 +313,52 @@ class TestHistogramOf:
         img = GrayImage(pixels=rng.integers(0, 256, size=(331, 1001), dtype=np.uint8))
         want = np.bincount(img.pixels.ravel().astype(np.int64), minlength=256)
         assert histogram_of(img).counts == tuple(want.tolist())
+
+
+def assert_bincount_parity(img):
+    want = np.bincount(img.pixels.ravel(), minlength=256)
+    assert histogram_of(img).counts == tuple(want.tolist())
+
+
+class TestHistogramOfPairPath:
+    """Rasters of _PAIR_MIN pixels or more are counted two bytes at a time."""
+
+    @pytest.mark.parametrize("shape", [(1449, 1449), (1025, 2047)], ids=str)
+    def test_odd_pixel_total(self, shape):
+        assert shape[0] * shape[1] >= _PAIR_MIN and shape[0] * shape[1] % 2 == 1
+        rng = np.random.default_rng(211)
+        assert_bincount_parity(GrayImage(pixels=rng.integers(0, 256, size=shape, dtype=np.uint8)))
+
+    def test_p5_raster_at_odd_offset(self):
+        rng = np.random.default_rng(223)
+        px = rng.integers(0, 256, size=(1449, 1449), dtype=np.uint8)
+        header = b"P5 1449 1449 255\n"
+        assert len(header) % 2 == 1
+        img = read_pgm(header + px.tobytes())
+        assert np.array_equal(img.pixels, px)
+        assert_bincount_parity(img)
+
+    def test_transposed_view(self):
+        rng = np.random.default_rng(227)
+        px = rng.integers(0, 256, size=(1025, 2047), dtype=np.uint8)
+        img = GrayImage(pixels=px.T)
+        assert not img.pixels.flags.c_contiguous
+        assert_bincount_parity(img)
+
+    def test_constant_raster(self):
+        img = GrayImage(pixels=np.full((1449, 1449), 200, dtype=np.uint8))
+        assert histogram_of(img).counts[200] == 1449 * 1449
+        assert_bincount_parity(img)
+
+    def test_all_256_grays(self):
+        px = (np.arange(1449 * 1449) % 256).astype(np.uint8).reshape(1449, 1449)
+        img = GrayImage(pixels=px)
+        assert all(histogram_of(img).counts)
+        assert_bincount_parity(img)
+
+    @pytest.mark.parametrize("pixels", [_PAIR_MIN - 1, _PAIR_MIN, _PAIR_MIN + 1])
+    def test_each_side_of_the_switch(self, pixels):
+        rng = np.random.default_rng(pixels)
+        assert_bincount_parity(
+            GrayImage(pixels=rng.integers(0, 256, size=(1, pixels), dtype=np.uint8))
+        )
