@@ -6,9 +6,10 @@ tracking unbiased within-class and between-class variance estimates with
 O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
 the only code that applies merges.  It gives each initial class one fixed
 float64 slot, the distance to its live right neighbour (+inf once merged
-away, and for the last class), links neighbours through two index lists,
-finds each merge with one argmin scan (the first minimum is the lowest
-slot, so the lowest gray wins ties) and keeps each class's exact count
+away, and for the last class), read and written as Python floats through
+a memoryview, links neighbours through two index lists, finds each merge
+with one argmin scan of the array (the first minimum is the lowest slot,
+so the lowest gray wins ties) and keeps each class's exact count
 and gray sum as Python ints; nothing is shifted as classes go.  Each
 merge is recorded as it is made, by the cut it removed and v, w and q,
 the same fields its to_json() entry holds; nothing passes over the
@@ -268,13 +269,14 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     every sum are exact up to a pair distance's one float expression.  A
     class is named by its first initial class, and each initial class owns
     one fixed slot of a float64 array: its distance to its live right
-    neighbour, or +inf for a merged-away class and the last one.  Each
-    step is one argmin over the slots, a linear scan whose first minimum
-    is the lowest slot, which is the lowest gray, so ties go to the lowest
-    index.  Lists prv/nxt link each class to its neighbours, and only the
-    two distances touching the new class are recomputed, so nothing is
-    shifted and a run is O(K0^2).  Each merge's record is appended as it
-    is made; nothing passes over the records after the loop.
+    neighbour, or +inf for a merged-away class and the last one.  The loop
+    reads and writes slots through a memoryview of the array, as Python
+    floats.  Each step is one argmin over the slots, a linear scan whose
+    first minimum is the lowest slot, which is the lowest gray, so ties go
+    to the lowest index.  Lists prv/nxt link each class to its neighbours,
+    and only the two distances touching the new class are recomputed, so
+    nothing is shifted and a run is O(K0^2).  Each merge's record is
+    appended as it is made; nothing passes over the records after the loop.
     """
     grays = h.occupied
     if not grays:
@@ -308,29 +310,31 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
         w0 = acc / (k0 - 1)
     v, w = 0.0, w0
     inf = math.inf
-    argmin, item = d2.argmin, d2.item  # bound once for the K0 - 1 calls
+    # Slots go in and out as Python floats, never boxed as NumPy scalars;
+    # records skip MergeRecord's Python-level __new__.
+    argmin, slot, record = d2.argmin, memoryview(d2), tuple.__new__
     records = []
     for k in range(k0 - 1, 0, -1):  # k: the class count the merge leaves
         l = int(argmin())  # first minimum: the lowest slot wins ties
-        d_sq = item(l)
+        d_sq = slot[l]
         r = nxt[l]
         boundary = grays[r - 1]  # class l spans initial classes l..r-1
         n1 = ns[l] = ns[l] + ns[r]
         s1 = ss[l] = ss[l] + ss[r]
-        d2[r] = inf
+        slot[r] = inf
         p = prv[l]
         if p >= 0:
             n0, s0 = ns[p], ss[p]
             diff = s0 / n0 - s1 / n1
-            d2[p] = n0 * n1 / (n0 + n1) * (diff * diff)
+            slot[p] = n0 * n1 / (n0 + n1) * (diff * diff)
         r = nxt[l] = nxt[r]
         if r < k0:
             prv[r] = l
             n2, s2 = ns[r], ss[r]
             diff = s1 / n1 - s2 / n2
-            d2[l] = n1 * n2 / (n1 + n2) * (diff * diff)
+            slot[l] = n1 * n2 / (n1 + n2) * (diff * diff)
         else:
-            d2[l] = inf
+            slot[l] = inf
         # The within estimate absorbs d_sq and the between estimate sheds
         # it; both divisors follow the new class count k.
         dv = n_pixels - k
@@ -340,7 +344,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             q = v / w if w > 0 else None
         else:
             w = q = None
-        records.append(MergeRecord(k0 - k, boundary, d_sq, v, w, q, k))
+        records.append(record(MergeRecord, (k0 - k, boundary, d_sq, v, w, q, k)))
     return MergeTrace(histogram=h, records=tuple(records), ss_total=ss_total, w0=w0)
 
 

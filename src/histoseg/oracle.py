@@ -97,13 +97,14 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     grand = run_s[-1] / n_total
 
     # score[i, c]: n * (mean - grand)^2 of the class of levels i..c, the same
-    # float form the between-class scatter takes; c < i is infeasible.
+    # float form the between-class scatter takes; c < i is infeasible, and
+    # since every occupied level holds a pixel, c >= i exactly when n > 0.
     fn = np.array(run_n, dtype=np.float64)
     fs = np.array(run_s, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         n = fn[None, 1:] - fn[:-1, None]
         diff = (fs[None, 1:] - fs[:-1, None]) / n - grand
-        score = np.where(np.triu(np.ones((k0, k0), dtype=bool)), n * (diff * diff), -np.inf)
+        score = np.where(n > 0, n * (diff * diff), -np.inf)
 
     # best[i]: greatest score of levels i..k0-1 in r classes (-inf where
     # fewer than r levels remain); choice[r][i]: where its first class ends.

@@ -7,11 +7,7 @@ import numpy as np
 from .engine import Histogram
 from .metrics import GrayImage
 
-_WS = b" \t\n\r\x0b\x0c"
-# Byte classes inside a P2 raster: 0 whitespace, 1 digit, 2 anything else.
-_P2_CLASS = np.full(256, 2, dtype=np.uint8)
-_P2_CLASS[list(_WS)] = 0
-_P2_CLASS[list(b"0123456789")] = 1
+_WS = b" \t\n\r\x0b\x0c"  # space, then bytes 9..13
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _HIST_SLICE = 1 << 16
 # Rasters of at least this many pixels are counted two bytes at a time.  The
@@ -74,35 +70,42 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray:
     Tokens are split at _WS bytes and at '#' comments (to end of line), as
     _next_token does; bytes after the last needed sample are ignored.  The
     first non-digit token raises MalformedPayload even when samples run
-    short; TruncatedPayload means every token present was numeric.
+    short; TruncatedPayload means every token present was numeric.  Bytes
+    are classed by uint8 arithmetic, with no lookup table.
     """
     if b"#" in payload:
         payload = _COMMENT.sub(b" ", payload)
     buf = np.frombuffer(payload, dtype=np.uint8)
-    cls = _P2_CLASS.take(buf)
+    d = buf - 48  # a digit's value; 10 or more for any other byte, as it wraps
+    digit = d < 10
     in_token = np.zeros(len(buf) + 2, dtype=bool)
-    np.not_equal(cls, 0, out=in_token[1:-1])
+    tok = in_token[1:-1]
+    np.greater_equal(buf - 9, 5, out=tok)  # not whitespace: not 9..13 and not 32
+    tok &= buf != 32
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])
     starts, ends = edges[0::2][:count], edges[1::2][:count]
     if len(ends):
-        bad = np.flatnonzero(cls[: ends[-1]] == 2)
+        bad = np.flatnonzero(tok[: ends[-1]] > digit[: ends[-1]])  # in a token, not a digit
         if len(bad):
             i = np.searchsorted(starts, bad[0], side="right") - 1
             raise MalformedPayload(f"non-numeric sample {payload[starts[i] : ends[i]]!r}")
     if len(ends) < count:
         raise TruncatedPayload(f"expected {count} samples, found {len(ends)}")
 
-    # Units, tens and hundreds digits, gathered back from each token's end;
-    # three leading pad bytes keep every index in range.
-    lens = ends - starts
-    digits = np.zeros(len(buf) + 3, dtype=np.int16)
-    np.subtract(buf, 48, out=digits[3:], dtype=np.int16)
-    last = ends + 2
-    values = digits[last]
-    values += np.where(lens > 1, digits[last - 1] * 10, 0)
-    values += np.where(lens > 2, digits[last - 2] * 100, 0)
+    # val[i]: the number the up-to-three digits ending at byte i spell, and a
+    # sample is val at its token's last byte.  A non-digit counts 0, so the
+    # tens need no mask; the hundreds count only when the tens byte is a
+    # digit, as past a one-digit token they belong to the token before.
+    # Temporaries stay uint8 where the values fit: tens times 10 is at most 90.
+    u = d * digit
+    val = np.zeros(len(u), dtype=np.int16)
+    np.multiply(u[:-2], digit[1:-1], out=val[2:])
+    val *= 100
+    val[1:] += u[:-1] * 10
+    val += u
+    values = val[ends - 1]
     # A longer token is in range only if all but its last three digits are 0.
-    for i in np.flatnonzero(lens > 3):
+    for i in np.flatnonzero(ends - starts > 3):
         if payload[starts[i] : ends[i] - 3].strip(b"0"):
             raise MalformedPayload("sample outside [0, maxval]")
     return values

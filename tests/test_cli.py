@@ -184,6 +184,19 @@ def test_threshold_out_at_2048_is_byte_identical_to_pinned_digests(tmp_path, mon
     )
 
 
+def test_threshold_on_p2_tiles_is_byte_identical_to_pinned_digest(tmp_path, monkeypatch):
+    """The reports, less timings, of the 16 ASCII P2 128^2 tiles, seeds 7..22."""
+    monkeypatch.chdir(tmp_path)  # so each report's input path is "img.pgm"
+    digest = hashlib.sha256()
+    for seed in range(7, 23):
+        (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(128, seed), "P2"))
+        assert main(["threshold", "img.pgm", "--levels", "4", "--report", "r.json"]) == 0
+        digest.update((json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n").encode())
+    assert digest.hexdigest() == (
+        "880602d240725e2124fa6bf588dd98fca92d13ca0883d0bbb929d89965b370f1"
+    )
+
+
 def _without_timings(path):
     data = json.loads(path.read_text())
     data.pop("timings")

@@ -12,6 +12,7 @@ from histoseg.engine import (
     EmptyHistogram,
     Histogram,
     InvalidLevel,
+    MergeRecord,
     ThresholdSet,
     histogram_from_csv,
     histogram_from_json,
@@ -208,6 +209,15 @@ class TestRunDendrogram:
             trace.records[0].d_sq = 0.0
         with pytest.raises(AttributeError):
             trace.initial.classes[0].n = 0
+
+    def test_records_are_plain_merge_records_of_python_floats(self):
+        trace = run_dendrogram(histogram_of(standard_image(256)))
+        assert trace.records
+        for r in trace.records:
+            assert type(r) is MergeRecord
+            assert tuple(r._asdict()) == MergeRecord._fields
+            for x in (r.d_sq, r.v, r.w, r.q):
+                assert x is None or type(x) is float
 
     def test_conservation_identity(self):
         rng = random.Random(31)

@@ -17,6 +17,8 @@ from histoseg.pgm import (
     write_pgm,
 )
 
+from helpers import standard_image
+
 P5_MINIMAL = b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 P2_MINIMAL = b"P2\n2 2\n255\n0 128\n128 255\n"
 WS = b" \t\n\r\x0b\x0c"
@@ -198,6 +200,28 @@ class TestReadPgm:
     def test_bytes_after_last_sample_ignored(self):
         assert read_pgm(b"P2 2 1 9 1#c\n2 x +3 -4").pixels.tolist() == [[1, 2]]
 
+    def test_digit_then_other_byte_names_the_whole_token(self):
+        with pytest.raises(MalformedPayload, match=re.escape(repr(b"8x"))):
+            read_pgm(b"P2 2 1 255 7 8x 9")
+
+    def test_last_sample_may_end_the_payload(self):
+        assert read_pgm(b"P2 3 1 255 1 22 255").pixels.tolist() == [[1, 22, 255]]
+        assert read_pgm(b"P2 2 1 255\n7\n8").pixels.tolist() == [[7, 8]]
+
+    def test_short_token_takes_no_digit_of_the_token_before(self):
+        assert read_pgm(b"P2 4 1 255 255 5 12 7").pixels.tolist() == [[255, 5, 12, 7]]
+
+    @pytest.mark.parametrize("tok", [b"256", b"999", b"0999"])
+    def test_p2_sample_past_255_is_not_wrapped(self, tok):
+        with pytest.raises(MalformedPayload, match=re.escape("outside [0, maxval]")):
+            read_pgm(b"P2 2 1 255 7 " + tok)
+
+    def test_p2_of_a_standard_image_matches_its_p5(self):
+        img = standard_image(128)
+        want = read_pgm(write_pgm(img, "P5")).pixels
+        got = read_pgm(write_pgm(img, "P2")).pixels
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_non_numeric_sample_precedes_truncation(self):
         # Same shortfall as test_truncated_p2, but a token is not a number.
         with pytest.raises(MalformedPayload, match="b'x'"):
@@ -228,7 +252,11 @@ class TestReadPgmProperties:
             try:
                 want = reference_samples(payload, 20)
             except PgmError as e:
-                with pytest.raises(type(e)):
+                # a bad token must be named exactly as the token loop reads it
+                match = None
+                if isinstance(e, MalformedPayload):
+                    match = "^" + re.escape(f"non-numeric sample {e.args[0]!r}") + "$"
+                with pytest.raises(type(e), match=match):
                     read_pgm(header + payload)
                 continue
             if max(want) > 200:
