@@ -60,13 +60,12 @@ class BinaryMask:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.size == 0:
             raise ValueError("bits must be a non-empty 2-D array")
-        object.__setattr__(self, "bits", b.astype(bool))
+        object.__setattr__(self, "bits", b.astype(bool, copy=False))
 
 
 def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
     """Nonzero pixels as foreground; invert flips the polarity."""
-    bits = img.pixels != 0
-    return BinaryMask(bits=~bits if invert else bits)
+    return BinaryMask(bits=img.pixels == 0 if invert else img.pixels != 0)
 
 
 def _check_range(img: GrayImage, t: ThresholdSet) -> None:

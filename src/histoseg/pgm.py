@@ -1,14 +1,20 @@
-"""Minimal Netpbm PGM codec (binary P5 and ASCII P2), 8-bit only."""
+"""Minimal Netpbm PGM codec (binary P5 and ASCII P2), 8-bit only.
+
+The header and the P2 raster share one grammar of _WS and '#' comments to
+end of line; one pattern built from both, _LEXEME, tokenizes the header.
+"""
 
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
-from .engine import Histogram
+from .engine import MAX_PIXELS, Histogram
 from .metrics import GrayImage
 
 _WS = b" \t\n\r\x0b\x0c"  # space, then bytes 9..13
 _COMMENT = re.compile(rb"#[^\r\n]*")
+_LEXEME = re.compile(_COMMENT.pattern + rb"|[^" + re.escape(_WS) + rb"#]+")
 _HIST_SLICE = 1 << 16
 # Rasters of at least this many pixels are counted two bytes at a time.  The
 # pair path's temporaries (the 512 KiB table, one 512 KiB bincount result and
@@ -44,31 +50,19 @@ class MalformedPayload(PgmError):
     """Samples are non-numeric or exceed maxval."""
 
 
-def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
-    # Skips whitespace and '#' comments (to end of line) before the token.
-    n = len(data)
-    while i < n:
-        ch = data[i]
-        if ch in _WS:
-            i += 1
-        elif ch == 0x23:  # '#'
-            while i < n and data[i] not in b"\r\n":
-                i += 1
-        else:
-            break
-    if i >= n:
-        raise MalformedHeader("unexpected end of input")
-    j = i
-    while j < n and data[j] not in _WS and data[j] != 0x23:
-        j += 1
-    return data[i:j], j
+def _header_tokens(data: bytes) -> Iterator[re.Match]:
+    # Header token matches in order; whitespace and '#' comments are skipped.
+    for m in _LEXEME.finditer(data):
+        if data[m.start()] != 0x23:  # '#'
+            yield m
+    raise MalformedHeader("unexpected end of input")
 
 
 def _decode_p2(payload: bytes, count: int) -> np.ndarray:
     """The first `count` samples of a P2 raster, each ASCII decimal digits.
 
     Tokens are split at _WS bytes and at '#' comments (to end of line), as
-    _next_token does; bytes after the last needed sample are ignored.  The
+    header tokens are; bytes after the last needed sample are ignored.  The
     first non-digit token raises MalformedPayload even when samples run
     short; TruncatedPayload means every token present was numeric.  Bytes
     are classed by uint8 arithmetic, with no lookup table.
@@ -127,18 +121,23 @@ def read_pgm(data: bytes) -> GrayImage:
     """
     if not isinstance(data, bytes):
         data = bytes(data)
-    magic, pos = _next_token(data, 0)
+    tokens = _header_tokens(data)
+    magic = next(tokens)[0]
     if magic not in (b"P2", b"P5"):
-        raise MalformedHeader(f"unsupported magic {magic!r}")
+        raise MalformedHeader(f"unsupported magic {magic[:32]!r}")
     fields = []
     for name in ("width", "height", "maxval"):
-        tok, pos = _next_token(data, pos)
-        try:
-            if not tok.isdigit():  # int() would also take a sign or '_'
-                raise ValueError
-            fields.append(int(tok))
-        except ValueError:
-            raise MalformedHeader(f"non-numeric {name} token {tok!r}") from None
+        m = next(tokens)
+        tok, digits = m[0], m[0].lstrip(b"0")
+        if not tok.isdigit():  # int() would also take a sign or '_'
+            raise MalformedHeader(f"non-numeric {name} token {tok[:32]!r}")
+        # No image has a side of more digits than MAX_PIXELS; int() would be
+        # slow on such a field, or refuse one of over 4300 digits.
+        if len(digits) > len(str(MAX_PIXELS)):
+            error = UnsupportedMaxval if name == "maxval" else MalformedHeader
+            raise error(f"{name} of {len(digits)} digits is too large")
+        fields.append(int(digits or b"0"))
+    pos = m.end()
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise MalformedHeader("width and height must be positive")

@@ -101,6 +101,13 @@ class TestThreshold:
         assert err.startswith("E:")
         assert str(bad) in err
 
+    def test_long_header_field_exits_2_with_a_short_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.pgm"
+        bad.write_bytes(b"P5\n" + b"1" * 100_000 + b" 1\n255\n\x00")
+        assert main(["threshold", str(bad), "--levels", "2"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E:") and len(lines[0]) < 200
+
     def test_unwritable_outputs_exit_2(self, tmp_path, five_pixel_image, capsys):
         missing_dir = tmp_path / "missing"
         for option in ("--out", "--report"):

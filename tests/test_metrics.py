@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,3 +348,17 @@ class TestForegroundOf:
         img = gray([0, 1], [2, 0])
         assert foreground_of(img).bits.tolist() == [[False, True], [True, False]]
         assert foreground_of(img, invert=True).bits.tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_builds_one_raster_sized_mask(self, invert):
+        px = np.random.default_rng(353).integers(0, 3, size=(2048, 2048), dtype=np.uint8)
+        img = GrayImage(pixels=px)
+        tracemalloc.start()
+        try:
+            bits = foreground_of(img, invert).bits
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * px.nbytes
+        want = ~(px != 0) if invert else px != 0
+        assert bits.dtype == bool and np.array_equal(bits, want)

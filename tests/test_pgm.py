@@ -36,6 +36,24 @@ def reference_samples(payload: bytes, count: int) -> list[int]:
     return [int(tok) for tok in tokens[:count]]
 
 
+HEADER_TOKEN_ERRORS = ("unexpected end of input", "unsupported magic", "non-numeric width",
+                       "non-numeric height", "non-numeric maxval")
+
+
+def reference_header(data: bytes) -> tuple[str | None, list[bytes]]:
+    """The first four header tokens by an independent split, and the error
+    prefix that walking them in order gives, or None when all four are usable."""
+    tokens = re.sub(rb"#[^\r\n]*", b" ", data).split()[:4]
+    for i, name in enumerate(("magic", "width", "height", "maxval")):
+        if i == len(tokens):
+            return "unexpected end of input", tokens
+        if i == 0 and tokens[0] not in (b"P2", b"P5"):
+            return "unsupported magic", tokens
+        if i and not tokens[i].isdigit():
+            return f"non-numeric {name}", tokens
+    return None, tokens
+
+
 def mutate(rng: random.Random, data: bytes) -> bytes:
     """Apply 1-4 byte flips, deletions or inserts drawn from MUTATION_BYTES."""
     out = bytearray(data)
@@ -222,6 +240,47 @@ class TestReadPgm:
         got = read_pgm(write_pgm(img, "P2")).pixels
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_zero_padded_fields_past_int_digit_limit(self):
+        # int() refuses a string of over 4300 digits, leading zeros included.
+        assert read_pgm(b"P2 " + b"0" * 5000 + b"1 1 255 7").pixels.tolist() == [[7]]
+        assert read_pgm(b"P2 1 1 " + b"0" * 4397 + b"255 7").pixels.tolist() == [[7]]
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    @pytest.mark.parametrize("digits", [20, 100_000])
+    def test_long_numeric_field_is_too_large(self, field, digits):
+        tokens = [b"P5", b"1", b"1", b"255"]
+        tokens[field] = b"00" + b"1" * digits
+        name = ("width", "height", "maxval")[field - 1]
+        error = UnsupportedMaxval if name == "maxval" else MalformedHeader
+        with pytest.raises(error, match=f"^{name} .*too large") as e:
+            read_pgm(b" ".join(tokens) + b"\n\x00")
+        assert len(str(e.value)) < 64
+
+    def test_nineteen_digit_width_is_not_too_large(self):
+        with pytest.raises(TruncatedPayload):
+            read_pgm(b"P5 " + b"9" * 19 + b" 1 255\n\x00")
+
+    @pytest.mark.parametrize("header", [b"P" * 1000, b"P5 " + b"x" * 1000, b"P2 1 1 " + b"2" * 999 + b"x"],
+                             ids=["magic", "width", "maxval"])
+    def test_error_quotes_at_most_32_bytes_of_a_token(self, header):
+        with pytest.raises(MalformedHeader) as e:
+            read_pgm(header + b"\n\x00")
+        assert len(str(e.value)) < 80
+
+    def test_one_whitespace_set_in_header_and_p2_raster(self):
+        for x in range(256):
+            sep = bytes([x])
+            try:
+                header_px = read_pgm(b"P2" + sep + b"1 1 255\n7").pixels.tolist()
+            except PgmError:
+                header_px = None
+            try:
+                raster_px = read_pgm(b"P2 2 1 255\n1" + sep + b"2").pixels.tolist()
+            except PgmError:
+                raster_px = None
+            assert header_px == ([[7]] if x in WS else None), x
+            assert raster_px == ([[1, 2]] if x in WS else None), x
+
     def test_non_numeric_sample_precedes_truncation(self):
         # Same shortfall as test_truncated_p2, but a token is not a number.
         with pytest.raises(MalformedPayload, match="b'x'"):
@@ -238,10 +297,19 @@ class TestReadPgmProperties:
             encode = rng.choice([lambda: write_pgm(img, "P5"), lambda: write_pgm(img, "P2"),
                                  lambda: loose_p2(rng, img)])
             data = mutate(rng, encode())
+            want, tokens = reference_header(data)
             try:
-                read_pgm(data)
-            except PgmError:
-                pass
+                got = read_pgm(data)
+            except PgmError as e:
+                message = str(e)
+                assert "\n" not in message and len(message) <= 200, message
+                if want is None:
+                    assert not message.startswith(HEADER_TOKEN_ERRORS), (data, message)
+                else:
+                    assert isinstance(e, MalformedHeader) and message.startswith(want), (data, message)
+                continue
+            assert want is None, (data, want)
+            assert (got.width, got.height) == (int(tokens[1]), int(tokens[2])), data
 
     def test_mutated_p2_payload_matches_token_loop(self):
         rng = random.Random(20261019)
