@@ -14,10 +14,11 @@ and gray sum as Python ints; nothing is shifted as classes go.  Each
 merge is recorded as it is made, by the cut it removed and v, w and q,
 the same fields its to_json() entry holds; nothing passes over the
 records afterwards.  The partitions for any class counts are read off
-its trace in one walk up it, which puts one cut back per level, with
-every class sum from Histogram.running_sums.  The run stores the
-K0-class start state once, as its between-class variance w0, and builds
-no per-level class objects; MergeTrace.initial derives those from the
+its trace in one walk up it from the one-class partition, which puts one
+cut back per level, with every class sum from Histogram.running_sums.
+The run stores the K0-class start state once, as its between-class
+variance w0, and builds no per-level class objects; MergeTrace.initial
+derives those, and MergeTrace.ss_total the total scatter, from the
 histogram only when a caller asks.
 """
 
@@ -189,11 +190,12 @@ class MergeTrace:
 
     w0 is the between-class variance of the K0 initial classes (v is 0
     there), or None when K0 = 1; each record rolls v and w on from it.
+    initial and ss_total are not stored: each is derived from the
+    histogram on first use.
     """
 
     histogram: Histogram
     records: tuple[MergeRecord, ...]
-    ss_total: float
     w0: float | None
 
     @property
@@ -208,6 +210,14 @@ class MergeTrace:
             ClassRecord(counts[g], g, g, counts[g] * g) for g in self.histogram.occupied
         )
         return ClassArray(classes=classes, N=self.histogram.N)
+
+    @cached_property
+    def ss_total(self) -> float:
+        """Total squared deviation of every pixel's gray from the grand mean."""
+        cn, c1, _ = self.histogram.running_sums
+        counts = self.histogram.counts
+        gm = c1[-1] / cn[-1]
+        return math.fsum(counts[g] * (g - gm) ** 2 for g in self.histogram.occupied)
 
     def to_dict(self) -> dict:
         cn, c1, _ = self.histogram.running_sums
@@ -290,7 +300,6 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
 
     n_pixels = sum(ns)
     gm = sum(ss) / n_pixels
-    ss_total = math.fsum(n * (g - gm) ** 2 for g, n in zip(grays, ns))
 
     # A single level's mean s/n is exactly its gray g.  Histogram's
     # MAX_PIXELS bound keeps every cost finite, so no live cost ties +inf.
@@ -345,7 +354,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
         else:
             w = q = None
         records.append(record(MergeRecord, (k0 - k, boundary, d_sq, v, w, q, k)))
-    return MergeTrace(histogram=h, records=tuple(records), ss_total=ss_total, w0=w0)
+    return MergeTrace(histogram=h, records=tuple(records), w0=w0)
 
 
 def class_count(m: int) -> int:
@@ -384,17 +393,6 @@ def threshold_set(h: Histogram, cuts: tuple[int, ...], top: int) -> ThresholdSet
     return ThresholdSet(cuts=cuts, means=means, top=top)
 
 
-# thresholds_at_levels() walks up to level m from the level built before it
-# when at most 1/_WALK_SHARE of m's classes are new.  Timed on the 256^2 and
-# 2048^2 test images (K0 = 228, 249), walking costs as much as building m from
-# its sorted cuts once about a third of its classes are new.  Neither path
-# alone does as well: in-process medians of 15 alternating rounds on the 256^2
-# image, this choice / walk only / build only, are 0.130 / 0.121 / 0.188 ms for
-# levels 2..25, 0.084 / 0.229 / 0.080 ms for [K0], 0.096 / 0.265 / 0.078 ms for
-# [2, K0] and 0.380 / 0.387 / 0.750 ms for every 10th level (2-vCPU host).
-_WALK_SHARE = 4
-
-
 def thresholds_at(trace: MergeTrace, m: int) -> ThresholdSet:
     """Partition with exactly m classes, read off the trace.
 
@@ -409,45 +407,37 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
 
     Each merge deletes one cut point, so the cuts of the m-class partition
     are the boundary grays of the last m - 1 merges; no merge is applied
-    again.  The distinct levels are built in increasing order.  A level
-    close above the one built before it comes from that one by a walk up
-    the trace: the merge that left m - 1 classes puts its boundary back,
-    which splits one class in two, so only those two means are computed
-    anew.  A level far above it (more than 1/_WALK_SHARE of its classes
-    new) is built from its sorted cuts instead, so a sparse, wide
-    level list costs no more than building each level alone.  Every mean
+    again.  One walk up the trace, from the one-class partition to the
+    largest level asked (at most K0 - 1 steps), reads every level: the
+    merge that left m - 1 classes puts its boundary back, which splits one
+    class in two, so only those two means are computed anew.  Every mean
     is the same float threshold_set() gives.  Levels may repeat and come
     in any order.
     """
     k0 = len(trace.records) + 1
     levels = [check_level(m, k0) for m in levels]
+    wanted = set(levels)
     h = trace.histogram
     records = trace.records
     top = h.occupied[-1]
     cn, c1, _ = h.running_sums
+    cuts, means = [], [c1[top + 1] / cn[top + 1]]  # one class: the grand mean
     found = {}
-    built = 0  # class count of `cuts`/`means`; 0 before the first level
-    for m in sorted(set(levels)):
-        if (m - built) * _WALK_SHARE > m:
-            cuts = sorted([r.boundary_gray for r in records[k0 - m :]])
-            t = threshold_set(h, tuple(cuts), top)
-            means = list(t.means)
-        else:
-            for r in records[k0 - m : k0 - built][::-1]:
-                cut = r.boundary_gray
-                j = bisect_left(cuts, cut)
-                # class j spans grays a..b-1 of the running sums and splits at cut
-                a = cuts[j - 1] + 1 if j else 0
-                b = cuts[j] + 1 if j < len(cuts) else top + 1
-                mid = cut + 1
-                cuts.insert(j, cut)
-                means[j : j + 1] = [
-                    (c1[mid] - c1[a]) / (cn[mid] - cn[a]),
-                    (c1[b] - c1[mid]) / (cn[b] - cn[mid]),
-                ]
-            t = ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
-        found[m] = t
-        built = m
+    for m in range(1, max(wanted, default=0) + 1):
+        if m > 1:
+            cut = records[k0 - m].boundary_gray
+            j = bisect_left(cuts, cut)
+            # class j spans grays a..b-1 of the running sums and splits at cut
+            a = cuts[j - 1] + 1 if j else 0
+            b = cuts[j] + 1 if j < len(cuts) else top + 1
+            mid = cut + 1
+            cuts.insert(j, cut)
+            means[j : j + 1] = [
+                (c1[mid] - c1[a]) / (cn[mid] - cn[a]),
+                (c1[b] - c1[mid]) / (cn[b] - cn[mid]),
+            ]
+        if m in wanted:
+            found[m] = ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
     return [found[m] for m in levels]
 
 

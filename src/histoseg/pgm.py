@@ -82,7 +82,8 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray:
         bad = np.flatnonzero(tok[: ends[-1]] > digit[: ends[-1]])  # in a token, not a digit
         if len(bad):
             i = np.searchsorted(starts, bad[0], side="right") - 1
-            raise MalformedPayload(f"non-numeric sample {payload[starts[i] : ends[i]]!r}")
+            quoted = payload[starts[i] : min(ends[i], starts[i] + 32)]  # at most 32 bytes
+            raise MalformedPayload(f"non-numeric sample {quoted!r}")
     if len(ends) < count:
         raise TruncatedPayload(f"expected {count} samples, found {len(ends)}")
 

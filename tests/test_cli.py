@@ -108,6 +108,13 @@ class TestThreshold:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("E:") and len(lines[0]) < 200
 
+    def test_long_p2_sample_exits_2_with_a_short_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.pgm"
+        bad.write_bytes(b"P2\n1 1\n255\n" + b"x" * 100_000 + b"\n")
+        assert main(["threshold", str(bad), "--levels", "2"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E:") and len(lines[0]) < 200
+
     def test_unwritable_outputs_exit_2(self, tmp_path, five_pixel_image, capsys):
         missing_dir = tmp_path / "missing"
         for option in ("--out", "--report"):
@@ -241,7 +248,10 @@ def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
 
 
 def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
-    """K0, N, w0 and the top level come off the trace, at every level up to K0."""
+    """K0, N, w0 and the top level come off the trace, at every level up to K0.
+
+    No command reads the total scatter either, so none computes it.
+    """
     img = standard_image(size=64)
     k0 = len(histogram_of(img).occupied)
     src = tmp_path / "img.pgm"
@@ -271,7 +281,11 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
     def forbidden(trace):
         raise AssertionError("per-level records built")
 
+    def no_ss_total(trace):
+        raise AssertionError("total scatter computed")
+
     monkeypatch.setattr(histoseg.engine.MergeTrace, "initial", property(forbidden))
+    monkeypatch.setattr(histoseg.engine.MergeTrace, "ss_total", property(no_ss_total))
     assert run_all("guarded") == before
     assert main(["bench", "--bins-list", "16,32", "--repeat", "1",
                  "--report", str(tmp_path / "bench.json")]) == 0

@@ -497,7 +497,7 @@ class TestLevelWalk:
         for h in walk_cases():
             trace = run_dendrogram(h)
             k0 = len(trace.records) + 1
-            for m in {1, min(2, k0), k0}:
+            for m in range(1, k0 + 1):  # a walk of every length, 0 to K0 - 1 steps
                 assert thresholds_at_levels(trace, [m]) == [self.from_scratch(trace, m)]
 
     def test_repeated_and_unsorted_levels(self):
@@ -513,7 +513,7 @@ class TestLevelWalk:
             ]
 
     def test_contiguous_and_sparse_lists(self):
-        # walked levels (a contiguous run) and rebuilt ones (wide gaps) in one call
+        # contiguous runs and wide gaps between the levels read in one walk
         for h in walk_cases():
             trace = run_dendrogram(h)
             k0 = len(trace.records) + 1

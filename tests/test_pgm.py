@@ -281,6 +281,11 @@ class TestReadPgm:
             assert header_px == ([[7]] if x in WS else None), x
             assert raster_px == ([[1, 2]] if x in WS else None), x
 
+    def test_error_quotes_at_most_32_bytes_of_a_sample(self):
+        with pytest.raises(MalformedPayload) as e:
+            read_pgm(b"P2 2 1 255 7 " + b"x" * 100_000 + b"\n")
+        assert str(e.value) == f"non-numeric sample {b'x' * 32!r}"
+
     def test_non_numeric_sample_precedes_truncation(self):
         # Same shortfall as test_truncated_p2, but a token is not a number.
         with pytest.raises(MalformedPayload, match="b'x'"):
@@ -323,7 +328,7 @@ class TestReadPgmProperties:
                 # a bad token must be named exactly as the token loop reads it
                 match = None
                 if isinstance(e, MalformedPayload):
-                    match = "^" + re.escape(f"non-numeric sample {e.args[0]!r}") + "$"
+                    match = "^" + re.escape(f"non-numeric sample {e.args[0][:32]!r}") + "$"
                 with pytest.raises(type(e), match=match):
                     read_pgm(header + payload)
                 continue
