@@ -5,7 +5,10 @@ the engine's incremental updates, so the two routes stay independent
 checks of each other: naive_variances sums the plain definitions over
 the bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
 globally optimal cut set by dynamic programming over the occupied levels,
-with exact tie-breaking.  The exact scatter of a cut set, by which the two
+with exact tie-breaking.  Its score table holds only the feasible cells,
+in at most two 128-row blocks, and stays exact in each class's count and
+gray sum at any pixel count (int64 differences once the pixel count or
+gray sum reaches 2^53).  The exact scatter of a cut set, by which the two
 are compared, is metrics.cut_set_errors.
 """
 
@@ -20,6 +23,13 @@ from .engine import (
     class_count,
     threshold_set,
 )
+
+# exhaustive_otsu keeps its score table in blocks of _ROWS rows, at most two
+# as K0 <= 256.  A block keeps only the columns from its first row on, since
+# a class cannot end before it starts; _BELOW marks the cells with c < i of
+# its leading square.  Smaller blocks cost more NumPy calls per DP sweep.
+_ROWS = 128
+_BELOW = np.tri(_ROWS, _ROWS, -1, dtype=bool)
 
 
 def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
@@ -70,8 +80,14 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     canonical.  Maximizes the size-weighted scatter of class means about
     the grand mean over contiguous runs of the K0 occupied levels, the
     same optimum an enumeration of all comb(K0 - 1, m - 1) cut sets finds,
-    in O(m * K0^2) time and O(K0^2 + m * K0) memory (Fisher's grouping
-    for maximum homogeneity).  Exact ties keep the lexicographically
+    in O(m * K0^2) time (Fisher's grouping for maximum homogeneity).  Its
+    table of class scores keeps only the feasible cells, those where a
+    class ends at or after its start, in at most two blocks of 128 rows:
+    three quarters of K0^2 cells at K0 = 256.  Each class's count and gray
+    sum enters its float score as one correctly rounded float at any pixel
+    count: as a difference of float64 running sums while the pixel count
+    and the gray sum stay below 2^53, where those are exact, and of int64
+    running sums from 2^53 on.  Exact ties keep the lexicographically
     smallest cut set: every DP cell takes the smallest first-class end
     that reaches its exact optimum, and a cell with several float scores
     within rounding error of its maximum settles them exactly from the
@@ -95,20 +111,48 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     run_s = [0] + [cum_s[g + 1] for g in occupied]
     n_total = run_n[-1]
     grand = run_s[-1] / n_total
+    # Each class's count and gray sum is taken as one correctly rounded float.
+    # Below 2^53 every running sum is exact in float64, so their float
+    # differences are too.  Past it a difference of two rounded totals can
+    # lose a small class whole, so counts are taken as int64 differences, and
+    # gray sums (up to 255 * (2^63 - 1)) as int64 differences of their halves
+    # split at 2^32, whose high half stays below 2^39 and so exact in float64.
+    small = max(n_total, run_s[-1]) < 2**53
+    if small:
+        sums_n = np.array(run_n, dtype=np.float64)
+        sums_s = np.array(run_s, dtype=np.float64)
+    else:
+        sums_n = np.array(run_n, dtype=np.int64)
+        sums_s = np.array([s >> 32 for s in run_s], dtype=np.int64)
+        sums_s_low = np.array([s & 0xFFFFFFFF for s in run_s], dtype=np.int64)
 
     # score[i, c]: n * (mean - grand)^2 of the class of levels i..c, the same
-    # float form the between-class scatter takes; c < i is infeasible, and
-    # since every occupied level holds a pixel, c >= i exactly when n > 0.
-    fn = np.array(run_n, dtype=np.float64)
-    fs = np.array(run_s, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = fn[None, 1:] - fn[:-1, None]
-        diff = (fs[None, 1:] - fs[:-1, None]) / n - grand
-        score = np.where(n > 0, n * (diff * diff), -np.inf)
+    # float form the between-class scatter takes, or -inf where c < i.  Only
+    # rows of one block and the columns from the block's first row on are
+    # kept, each block with its own buffers for the DP sweeps below.
+    blocks = []
+    for r0 in range(0, k0, _ROWS):
+        size = min(_ROWS, k0 - r0)
+        score = np.empty((size, k0 - r0))
+        vals = np.empty_like(score)
+        n = vals  # the class counts, until the sweeps need the buffer
+        np.subtract(sums_n[None, r0 + 1 :], sums_n[r0 : r0 + size, None], out=n)
+        np.subtract(sums_s[None, r0 + 1 :], sums_s[r0 : r0 + size, None], out=score)
+        if not small:
+            score *= 2.0**32
+            score += sums_s_low[None, r0 + 1 :] - sums_s_low[r0 : r0 + size, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score /= n
+            score -= grand
+            score *= score
+            score *= n
+        np.copyto(score[:, :size], -np.inf, where=_BELOW[:size, :size])
+        blocks.append((r0, score, vals, np.empty(score.shape, dtype=bool),
+                       np.empty(size), np.empty(size, dtype=np.intp)))
 
     # best[i]: greatest score of levels i..k0-1 in r classes (-inf where
     # fewer than r levels remain); choice[r][i]: where its first class ends.
-    best = np.append(score[:, -1], -np.inf)
+    best = np.concatenate([score[:, -1] for _, score, *_ in blocks] + [[-np.inf]])
     choice: dict[int, list[int]] = {}
     # Exact sums of S^2/N as unreduced (numerator, denominator) int pairs,
     # denominators > 0; adding them skips the gcd a Fraction takes each time.
@@ -135,25 +179,40 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     for r in range(2, m + 1):
         # cells m-r..k0-r can follow m-r earlier classes; the last row needs cell 0
         lo, hi = (0, 0) if r == m else (m - r, k0 - r)
-        vals = score[lo : hi + 1] + best[1:]
-        top = vals.max(axis=1)
-        # The float score errs by about 1e-13 * sqrt(N * scatter) plus a few ulps.
-        band = 1e-9 * np.maximum(top, np.sqrt(n_total * top))
-        near = vals >= (top - band)[:, None]
-        first = near.argmax(axis=1).tolist()
+        top = np.full(k0 + 1, -np.inf)
+        first = [0] * (hi + 1)
+        tied_cells = []
+        for r0, score, vals, near, band, arg in blocks:
+            a, b = max(lo, r0), min(hi + 1, r0 + len(score))
+            if a >= b:
+                continue
+            v, nr, bd = vals[: b - a], near[: b - a], band[: b - a]
+            np.add(score[a - r0 : b - r0], best[r0 + 1 :], out=v)
+            row_top = v.max(axis=1, out=top[a:b])
+            # With each class's count and gray sum one correctly rounded float,
+            # at every pixel count, the float score errs by about
+            # 1e-13 * sqrt(N * scatter) plus a few ulps.  The band is
+            # 1e-9 * max(top, sqrt(N * top)) below the row's top.
+            np.multiply(row_top, n_total, out=bd)
+            np.sqrt(bd, out=bd)
+            np.maximum(row_top, bd, out=bd)
+            bd *= 1e-9
+            np.subtract(row_top, bd, out=bd)
+            np.greater_equal(v, bd[:, None], out=nr)
+            first[a:b] = (nr.argmax(axis=1, out=arg[: b - a]) + r0).tolist()
+            tied = np.flatnonzero(np.count_nonzero(nr, axis=1) > 1)
+            cells, ends = np.nonzero(nr[tied])
+            tied_cells += zip((tied[cells] + a).tolist(), (ends + r0).tolist())
         # Cells with several candidates in the band take the smallest end
         # whose exact score no later candidate beats.
-        tied = np.flatnonzero(near.sum(axis=1) > 1)
-        rows, ends = np.nonzero(near[tied])
         cell = cell_best = None
-        for i, c in zip((tied[rows] + lo).tolist(), ends.tolist()):
+        for i, c in tied_cells:
             num, den = plus_class(i, c, exact_best(r - 1, c + 1))
             if i != cell or num * cell_best[1] > cell_best[0] * den:
                 cell, cell_best = i, (num, den)
-                first[i - lo] = c
-        choice[r] = [0] * lo + first
-        best = np.full(k0 + 1, -np.inf)
-        best[lo : hi + 1] = top
+                first[i] = c
+        choice[r] = first
+        best = top
 
     cuts = []
     i = 0

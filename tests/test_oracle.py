@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from histoseg.engine import (
     Histogram,
     InvalidLevel,
     ThresholdSet,
+    histogram_from_json,
     run_dendrogram,
     threshold_set,
     thresholds_at,
@@ -25,19 +28,16 @@ EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 def exact_otsu_cuts(h, m):
     """Reference optimum: first cut set, in lexicographic order, of greatest sum(s_k^2/n_k).
 
-    Sums every class straight from the bins and compares as Fractions, so
-    exact ties are decided exactly.
+    Enumerates every cut set, takes each class's integer sums off
+    h.running_sums and compares as Fractions, so exact ties are decided
+    exactly.
     """
-    occupied = [g for g, c in enumerate(h.counts) if c]
+    cn, c1, _ = h.running_sums
+    occupied = h.occupied
     best = best_cuts = None
     for cuts in itertools.combinations(occupied[:-1], m - 1):
-        score = Fraction(0)
-        lo = 0
-        for hi in cuts + (occupied[-1],):
-            n = sum(h.counts[lo : hi + 1])
-            s = sum(g * h.counts[g] for g in range(lo, hi + 1))
-            score += Fraction(s * s, n)
-            lo = hi + 1
+        edges = [0, *(cut + 1 for cut in cuts), occupied[-1] + 1]
+        score = sum(Fraction((c1[b] - c1[a]) ** 2, cn[b] - cn[a]) for a, b in zip(edges, edges[1:]))
         if best is None or score > best:
             best, best_cuts = score, cuts
     return best_cuts
@@ -164,6 +164,59 @@ class TestExhaustiveOtsu:
                     assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (k, count, m)
                     searches += 1
         assert searches == 108
+
+    @pytest.mark.parametrize("k0", [127, 128, 129])
+    def test_matches_exact_reference_across_the_block_seam(self, k0):
+        # the score table splits at row 128: 127 and 128 occupied levels fit
+        # one block and 129 open a second; counts from {1, 2, 3, 6} tie often
+        rng = random.Random(k0)
+        h = hist_from({g: rng.choice((1, 2, 3, 6)) for g in rng.sample(range(256), k0)})
+        for m in (2, 3):
+            assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (k0, m)
+
+    def test_counts_past_2_53_are_exact(self):
+        # a float64 running sum past 2^53 rounds, and the difference of two
+        # rounded sums once lost a small class: the first raised
+        # ZeroDivisionError, the second returned (60, 73, 92)
+        for bins, m, cuts in [
+            ({154: 24019198012642645, 215: 2, 242: 1}, 3, (154, 215)),
+            ({60: 1, 73: 2**56 - 1, 92: 2**56 - 1, 157: 24019198012642645, 214: 2}, 4, (73, 92, 157)),
+        ]:
+            counts = [bins.get(g, 0) for g in range(256)]
+            h = histogram_from_json(json.dumps(counts))
+            assert exact_otsu_cuts(h, m) == cuts
+            assert exhaustive_otsu(h, m).cuts == cuts, (bins, m)
+
+    def test_matches_exact_reference_at_huge_counts(self):
+        # spikes near 2^e beside classes of a few pixels, on both sides of
+        # the switch to int64 class sums at a pixel count or gray sum of 2^53
+        rng = random.Random(53)
+        sides = {False: 0, True: 0}
+        for e in range(44, 60):
+            for _ in range(12):
+                levels = rng.sample(range(rng.choice((16, 256))), rng.randint(3, 8))
+                h = hist_from({
+                    g: 2**e - rng.randrange(2 ** (e - 4)) if rng.random() < 0.5 else rng.randint(1, 6)
+                    for g in levels
+                })
+                cn, c1, _ = h.running_sums
+                for m in range(2, len(levels) + 1):
+                    assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (h, m)
+                    sides[max(cn[-1], c1[-1]) >= 2**53] += 1
+        assert min(sides.values()) > 100, sides
+
+    @pytest.mark.parametrize("m", [3, 25])
+    def test_score_table_memory(self, m):
+        # the scores and the DP's sweep buffers each hold three quarters of a
+        # full 256 x 256 float64 table
+        h = dense_histogram(random.Random(89), bins=256)
+        tracemalloc.start()
+        try:
+            exhaustive_otsu(h, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 256 * 256 * 8
 
     def test_flat_256_levels_in_25_classes(self):
         # the C(25, 6) optima order 19 classes of 10 levels and 6 of 11;
