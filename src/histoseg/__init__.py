@@ -18,6 +18,7 @@ from .metrics import (
     histogram_psnr,
     map_to_class_means,
     psnr,
+    psnr_at_levels,
     quantize,
 )
 from .pgm import PgmError, histogram_of, read_pgm
@@ -36,6 +37,7 @@ __all__ = [
     "histogram_psnr",
     "map_to_class_means",
     "psnr",
+    "psnr_at_levels",
     "quantize",
     "read_pgm",
     "run_dendrogram",

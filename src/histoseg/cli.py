@@ -8,13 +8,7 @@ import time
 
 from . import __version__
 from .bench import run_benchmark
-from .engine import (
-    InvalidLevel,
-    run_dendrogram,
-    thresholds_at,
-    thresholds_at_levels,
-    variances_at,
-)
+from .engine import InvalidLevel, run_dendrogram, thresholds_at, variances_at
 from .metrics import (
     DimensionMismatch,
     cut_set_errors,
@@ -22,6 +16,7 @@ from .metrics import (
     histogram_psnr,
     misclassification_error,
     psnr,
+    psnr_at_levels,
     quantize,
     relative_area_error,
 )
@@ -155,17 +150,14 @@ def _cmd_sweep(args) -> dict:
     trace = run_dendrogram(h)  # one pass serves every requested level
     merge_s = time.perf_counter() - t0
 
-    tsets = thresholds_at_levels(trace, levels)
     entries = [
         {
-            "level": level,
+            "level": tset.M,
             "thresholds": list(tset.cuts),
             "psnr_db_real_means": _finite_or_none(psnr_real),
             "psnr_db_rounded": _finite_or_none(psnr_rounded),
         }
-        for level, tset, ((_, psnr_real), (_, psnr_rounded)) in zip(
-            levels, tsets, histogram_psnr(h, tsets)
-        )
+        for tset, ((_, psnr_real), (_, psnr_rounded)) in psnr_at_levels(trace, levels)
     ]
 
     return {
@@ -319,7 +311,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         report = {"version": __version__, "command": args.command, **args.func(args)}
-        text = json.dumps(report, indent=2) + "\n"
+        # Compact, so json's C encoder runs: indent selects the pure-Python one.
+        text = json.dumps(report) + "\n"
         if args.report:
             with open(args.report, "w", encoding="ascii") as fh:
                 fh.write(text)

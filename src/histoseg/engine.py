@@ -16,6 +16,15 @@ the same fields its to_json() entry holds; nothing passes over the
 records afterwards.  The partitions for any class counts are read off
 its trace in one walk up it from the one-class partition, which puts one
 cut back per level, with every class sum from Histogram.running_sums.
+The walk is one generator, walk_splits(), the interface for any code
+that follows it: for each level asked, from the smallest up, it yields
+its ThresholdSet with the splits made since the level before, each as
+(na, sa, nb, sb).  metrics.psnr_at_levels carries each level's exact errors
+along it: the sum of s1^2/n over the classes as one fraction whose
+denominator is the product of the class counts, which a split changes by
+three class terms with two exact int divisions, and the rounded-mean
+error, which a split changes by three int terms.  So no level's classes
+are summed again.
 The run stores the K0-class start state once, as its between-class
 variance w0, and builds no per-level class objects; MergeTrace.initial
 derives those, and MergeTrace.ss_total the total scatter, from the
@@ -414,15 +423,30 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
     is the same float threshold_set() gives.  Levels may repeat and come
     in any order.
     """
-    k0 = len(trace.records) + 1
-    levels = [check_level(m, k0) for m in levels]
+    levels = [check_level(m, len(trace.records) + 1) for m in levels]
+    found = {tset.M: tset for _, tset in walk_splits(trace, levels)}
+    return [found[m] for m in levels]
+
+
+def walk_splits(trace: MergeTrace, levels: list[int]):
+    """The walk up the trace that thresholds_at_levels and metrics.psnr_at_levels share.
+
+    Yields (splits, tset) for each distinct level in `levels`, which must
+    be valid, from the smallest up; tset is its ThresholdSet.  Each step
+    from m - 1 to m classes puts back the cut of the merge that left m - 1
+    classes, which splits one class in two, and splits lists the steps
+    made since the previous level yielded (from m = 1 for the first), in
+    order, each as (na, sa, nb, sb): the pixel count and exact gray sum of
+    the lower and of the upper part.
+    """
     wanted = set(levels)
     h = trace.histogram
     records = trace.records
+    k0 = len(records) + 1
     top = h.occupied[-1]
     cn, c1, _ = h.running_sums
     cuts, means = [], [c1[top + 1] / cn[top + 1]]  # one class: the grand mean
-    found = {}
+    splits = []
     for m in range(1, max(wanted, default=0) + 1):
         if m > 1:
             cut = records[k0 - m].boundary_gray
@@ -431,14 +455,14 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
             a = cuts[j - 1] + 1 if j else 0
             b = cuts[j] + 1 if j < len(cuts) else top + 1
             mid = cut + 1
+            na, sa = cn[mid] - cn[a], c1[mid] - c1[a]
+            nb, sb = cn[b] - cn[mid], c1[b] - c1[mid]
             cuts.insert(j, cut)
-            means[j : j + 1] = [
-                (c1[mid] - c1[a]) / (cn[mid] - cn[a]),
-                (c1[b] - c1[mid]) / (cn[b] - cn[mid]),
-            ]
+            means[j : j + 1] = [sa / na, sb / nb]
+            splits.append((na, sa, nb, sb))
         if m in wanted:
-            found[m] = ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
-    return [found[m] for m in levels]
+            yield splits, ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
+            splits = []
 
 
 def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:

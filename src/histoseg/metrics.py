@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import EmptyHistogram, Histogram, ThresholdSet
+from .engine import (
+    EmptyHistogram,
+    Histogram,
+    MergeTrace,
+    ThresholdSet,
+    check_level,
+    thresholds_at_levels,
+    walk_splits,
+)
 
 # PSNR peak is pinned to the 8-bit maximum regardless of image content.
 PEAK = 255.0
@@ -161,10 +169,20 @@ def _error_sums(h: Histogram, tsets: Iterable[ThresholdSet]):
                 s2 = c2[hi] - c2[lo]
                 num = num * n + (n * s2 - s1 * s1) * den
                 den *= n
-                r = (2 * s1 + n) // (2 * n)  # half-up, as quantize() rounds
-                sse_rounded += s2 - 2 * r * s1 + r * r * n
+                sse_rounded += s2 + _rounded_sse(n, s1)
             lo = hi
         yield num, den, sse_rounded
+
+
+def _rounded_sse(n: int, s1: int) -> int:
+    """A class's squared error about its mean rounded half-up, less its s2.
+
+    For a class of n pixels with gray sum s1 and squared-gray sum s2, the
+    error about the integer r is s2 - 2*r*s1 + r*r*n; this is all of it
+    but s2, which the callers sum once.
+    """
+    r = (2 * s1 + n) // (2 * n)  # half-up, as quantize() rounds
+    return r * (r * n - 2 * s1)
 
 
 def histogram_psnr(
@@ -189,6 +207,51 @@ def histogram_psnr(
         (_mse_psnr(num / (den * n_total)), _mse_psnr(sse_rounded / n_total))
         for num, den, sse_rounded in _error_sums(h, tsets)
     ]
+
+
+def psnr_at_levels(
+    trace: MergeTrace, levels: Iterable[int]
+) -> list[tuple[ThresholdSet, tuple[tuple[float, float], tuple[float, float]]]]:
+    """thresholds_at_levels() for each of `levels`, each with its histogram_psnr() pairs.
+
+    The errors follow the same walk up the trace that finds the cuts, one
+    split per level, so no level's classes are summed again.  The walk
+    keeps T, the sum of s1^2/n over the classes, as num/den with den the
+    product of the class counts.  When the class (n0, s0) splits into
+    (na, sa) and (nb, sb), with rest = den // n0, T becomes
+    ((num - s0^2*rest) // n0 * na*nb + (sa^2*nb + sb^2*na) * rest) / (rest*na*nb);
+    both divisions are exact, as every term of num but s0^2's holds n0.
+    The rounded-mean error changes by three _rounded_sse terms.  The
+    squared-gray sum S2 of the whole histogram is read once: the real-mean
+    MSE is (S2*den - num) / (den*N), a correctly rounded int true
+    division, so every pair is the same float histogram_psnr gives.
+
+    That carry costs a few times what summing one class does, at every
+    step up to the largest level.  So when the distinct levels asked add
+    up to less than three times the largest, as in [2, K0], their classes
+    are summed by histogram_psnr instead, which then costs less.
+    """
+    levels = [check_level(m, len(trace.records) + 1) for m in levels]
+    if sum(set(levels)) < 3 * max(levels, default=0):
+        tsets = thresholds_at_levels(trace, levels)
+        return list(zip(tsets, histogram_psnr(trace.histogram, tsets)))
+    cn, c1, c2 = trace.histogram.running_sums
+    n_total, s1, s2 = cn[-1], c1[-1], c2[-1]
+    num, den = s1 * s1, n_total  # T of the one class
+    sse = _rounded_sse(n_total, s1)  # the rounded-mean error, less S2
+    found = {}
+    for splits, tset in walk_splits(trace, levels):
+        for na, sa, nb, sb in splits:
+            n0, s0 = na + nb, sa + sb
+            rest, nab = den // n0, na * nb
+            num = (num - s0 * s0 * rest) // n0 * nab + (sa * sa * nb + sb * sb * na) * rest
+            den = rest * nab
+            sse += _rounded_sse(na, sa) + _rounded_sse(nb, sb) - _rounded_sse(n0, s0)
+        found[tset.M] = tset, (
+            _mse_psnr((s2 * den - num) / (den * n_total)),
+            _mse_psnr((s2 + sse) / n_total),
+        )
+    return [found[m] for m in levels]
 
 
 def _check_dims(a, b):

@@ -71,6 +71,19 @@ def standard_image(size: int = 512, seed: int = 7) -> GrayImage:
     return GrayImage(pixels=px.astype(np.uint8))
 
 
+def merge_order_families() -> dict[str, list[Histogram]]:
+    """Seeded sparse, dense and tie-prone histograms for merge-order checks."""
+    rng = random.Random(113)
+    sparse = [sparse_histogram(rng, max_bins=40, max_pixels=200) for _ in range(200)]
+    dense = [dense_histogram(rng, bins=256, max_count=c) for c in (2, 40, 5000)]
+    tie_prone = []
+    for _ in range(300):
+        # 4-20 levels below 64 with counts from {1, 2, 3, 6}
+        levels = rng.sample(range(64), rng.randint(4, 20))
+        tie_prone.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
+    return {"sparse": sparse, "dense": dense, "tie-prone": tie_prone}
+
+
 def left_indices(records) -> list[int]:
     """The index of each merge's left class among the classes it was made from.
 

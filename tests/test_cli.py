@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -211,6 +212,18 @@ def test_threshold_on_p2_tiles_is_byte_identical_to_pinned_digest(tmp_path, monk
     )
 
 
+def test_sweep_is_byte_identical_to_pinned_digest(tmp_path, monkeypatch):
+    """The report, less timings, of one 256^2 sweep over levels 2..25."""
+    monkeypatch.chdir(tmp_path)  # so the report's input path is "img.pgm"
+    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(256, 7)))
+    levels = ",".join(map(str, range(2, 26)))
+    assert main(["sweep", "img.pgm", "--levels-list", levels, "--report", "r.json"]) == 0
+    report = json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "238e4ae30977986ca1da43e29babf97168e356314b674f74c8996feb7d0a2e4a"
+    )
+
+
 def _without_timings(path):
     data = json.loads(path.read_text())
     data.pop("timings")
@@ -289,6 +302,33 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
     assert run_all("guarded") == before
     assert main(["bench", "--bins-list", "16,32", "--repeat", "1",
                  "--report", str(tmp_path / "bench.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["threshold", "sweep", "oracle", "metrics", "bench"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, command):
+    """A call frees everything it made by reference counting alone.
+
+    Garbage that only the cycle collector frees is promoted to the older
+    generations between full collections, so a long run's peak memory
+    would depend on when those run.
+    """
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(size=64)))
+    argv = {
+        "threshold": ["threshold", "img.pgm", "--levels", "4", "--out", "q.pgm"],
+        "sweep": ["sweep", "img.pgm", "--levels-list", "2,3,5,10,25"],
+        "oracle": ["oracle", "img.pgm", "--levels", "3"],
+        "metrics": ["metrics", "--ref", "img.pgm", "--test", "img.pgm", "--src", "img.pgm"],
+        "bench": ["bench", "--bins-list", "16,32", "--repeat", "1"],
+    }[command] + ["--report", "r.json"]
+    assert main(argv) == 0  # warm-up: first-call caches are not garbage
+    gc.collect()
+    gc.disable()  # so no collection during the call hides its garbage
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_too_many_levels_same_message_everywhere(five_pixel_image, capsys):

@@ -29,6 +29,7 @@ from helpers import (
     dense_histogram,
     hist_from,
     left_indices,
+    merge_order_families,
     rel_err,
     replay_thresholds,
     sparse_histogram,
@@ -145,19 +146,6 @@ class TestMergeStep:
         assert rec.K_after == 1
         assert rec.w is None
         assert rec.q is None
-
-
-def merge_order_families() -> dict[str, list[Histogram]]:
-    """Seeded sparse, dense and tie-prone histograms for merge-order checks."""
-    rng = random.Random(113)
-    sparse = [sparse_histogram(rng, max_bins=40, max_pixels=200) for _ in range(200)]
-    dense = [dense_histogram(rng, bins=256, max_count=c) for c in (2, 40, 5000)]
-    tie_prone = []
-    for _ in range(300):
-        # 4-20 levels below 64 with counts from {1, 2, 3, 6}
-        levels = rng.sample(range(64), rng.randint(4, 20))
-        tie_prone.append(hist_from({g: rng.choice((1, 2, 3, 6)) for g in levels}))
-    return {"sparse": sparse, "dense": dense, "tie-prone": tie_prone}
 
 
 class TestRunDendrogram:

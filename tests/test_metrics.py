@@ -8,6 +8,7 @@ import pytest
 from histoseg.engine import (
     MAX_PIXELS,
     EmptyHistogram,
+    InvalidLevel,
     ThresholdSet,
     run_dendrogram,
     thresholds_at,
@@ -24,6 +25,7 @@ from histoseg.metrics import (
     map_to_class_means,
     misclassification_error,
     psnr,
+    psnr_at_levels,
     quantize,
     relative_area_error,
 )
@@ -32,6 +34,7 @@ from histoseg.pgm import histogram_of
 from helpers import (
     dense_histogram,
     hist_from,
+    merge_order_families,
     rel_err,
     small_image,
     sparse_histogram,
@@ -362,3 +365,51 @@ class TestForegroundOf:
         assert peak <= 1.1 * px.nbytes
         want = ~(px != 0) if invert else px != 0
         assert bits.dtype == bool and np.array_equal(bits, want)
+
+
+class TestPsnrAtLevels:
+    def test_worked_example(self):
+        trace = run_dendrogram(hist_from({1: 2, 2: 2, 5: 1}))
+        [(t2, ((mse, db), (mse_r, db_r))), (t1, _)] = psnr_at_levels(trace, [2, 1])
+        assert (t2.cuts, t2.means, t1.cuts) == ((2,), (1.5, 5.0), ())
+        assert (mse, mse_r) == (0.2, 0.4)
+        assert (db, db_r) == (10 * math.log10(255**2 / 0.2), 10 * math.log10(255**2 / 0.4))
+
+    def test_matches_histogram_psnr_at_every_level(self):
+        """Cut sets and (MSE, PSNR) pairs equal histogram_psnr's exactly, levels 1..K0.
+
+        Both of psnr_at_levels' routes are checked: every level, and a few.
+        """
+        rng = random.Random(137)
+        hists = [histogram_of(standard_image(size, seed))
+                 for size in (64, 128, 256, 512) for seed in (1, 7)]
+        hists += [h for family in merge_order_families().values() for h in family]
+        hists += [dense_histogram(rng, bins=rng.randint(2, 256), max_count=5000)
+                  for _ in range(6)]
+        hists += [sparse_histogram(rng, max_bins=60, max_pixels=2000) for _ in range(40)]
+        for _ in range(40):  # counts up to 2^58, so every sum is a big int
+            k = rng.randint(2, 31)
+            hists.append(hist_from({g: rng.randint(1, 2**rng.randint(40, 58))
+                                    for g in rng.sample(range(256), k)}))
+        hists.append(dense_histogram(rng, bins=256, max_count=2**54))
+        checked = 0
+        for h in hists:
+            trace = run_dendrogram(h)
+            k0 = len(trace.records) + 1
+            # every level, some twice: psnr_at_levels carries the errors
+            dense = list(range(1, k0 + 1)) + [rng.randint(1, k0) for _ in range(3)]
+            rng.shuffle(dense)
+            # a few levels up to K0: most are summed per level instead
+            sparse = rng.sample(range(1, k0 + 1), min(k0, rng.randint(1, 4))) + [k0]
+            for levels in (dense, sparse):
+                tsets = thresholds_at_levels(trace, levels)
+                assert psnr_at_levels(trace, levels) == list(zip(tsets, histogram_psnr(h, tsets)))
+            checked += k0
+        assert checked >= 10_000
+
+    def test_levels_are_checked(self):
+        trace = run_dendrogram(hist_from({1: 2, 2: 2, 5: 1}))
+        assert psnr_at_levels(trace, []) == []
+        for bad in (0, 4, 2.0, True):
+            with pytest.raises(InvalidLevel):
+                psnr_at_levels(trace, [2, bad])
