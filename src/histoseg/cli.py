@@ -67,17 +67,12 @@ def _positive_int(minimum: int, what: str):
 
 
 def _int_list(minimum: int, what: str):
+    entry = _positive_int(minimum, f"each {what} entry")
+
     def parse(text: str) -> list[int]:
-        try:
-            values = [int(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{what} must be comma-separated integers"
-            ) from None
+        values = [entry(tok) for tok in text.split(",") if tok.strip()]
         if not values:
             raise argparse.ArgumentTypeError(f"{what} must not be empty")
-        if any(v < minimum for v in values):
-            raise argparse.ArgumentTypeError(f"each {what} entry must be >= {minimum}")
         return values
 
     return parse
@@ -230,26 +225,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("threshold", help="quantize an image into M gray classes")
-    p.add_argument("image", help="input PGM (P2 or P5)")
-    p.add_argument(
+    # Arguments shared by several commands, each defined once.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="JSON report path (stdout when omitted)")
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("image", help="input PGM (P2 or P5)")
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument(
         "--levels",
         type=_positive_int(2, "levels"),
         required=True,
         help="number of classes M (>= 2)",
     )
+
+    def command(name, func, text, *parents):
+        p = sub.add_parser(name, parents=[*parents, report], help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(
+        "threshold", _cmd_threshold, "quantize an image into M gray classes", image, levels
+    )
     p.add_argument("--out", help="output PGM path for the quantized image")
-    p.add_argument("--report", help="JSON report path (stdout when omitted)")
     p.add_argument(
         "--polarity",
         choices=("above", "below"),
         default="above",
         help="which side of a 2-class cut counts as foreground",
     )
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("sweep", help="PSNR across several class counts, one merge pass")
-    p.add_argument("image", help="input PGM (P2 or P5)")
+    p = command("sweep", _cmd_sweep, "PSNR across several class counts, one merge pass", image)
     p.add_argument(
         "--levels-list",
         dest="levels_list",
@@ -257,10 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated class counts, e.g. 2,3,5,10,25",
     )
-    p.add_argument("--report", help="JSON report path (stdout when omitted)")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("metrics", help="ME/RAE (and PSNR with --src) for an image pair")
+    p = command("metrics", _cmd_metrics, "ME/RAE (and PSNR with --src) for an image pair")
     p.add_argument("--ref", required=True, help="ground-truth PGM")
     p.add_argument("--test", required=True, help="thresholded PGM under test")
     p.add_argument("--src", help="original PGM; enables MSE/PSNR")
@@ -270,21 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="above",
         help="above: nonzero pixels are foreground; below inverts",
     )
-    p.add_argument("--report", help="JSON report path (stdout when omitted)")
-    p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("oracle", help="compare greedy cuts against exhaustive search")
-    p.add_argument("image", help="input PGM (P2 or P5)")
-    p.add_argument(
-        "--levels",
-        type=_positive_int(2, "levels"),
-        required=True,
-        help="number of classes M (>= 2)",
-    )
-    p.add_argument("--report", help="JSON report path (stdout when omitted)")
-    p.set_defaults(func=_cmd_oracle)
+    command("oracle", _cmd_oracle, "compare greedy cuts against exhaustive search", image, levels)
 
-    p = sub.add_parser("bench", help="time full merge runs over synthetic histograms")
+    p = command("bench", _cmd_bench, "time full merge runs over synthetic histograms")
     p.add_argument(
         "--bins-list",
         dest="bins_list",
@@ -298,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5,
         help="runs per size; the median is reported",
     )
-    p.add_argument("--report", help="JSON report path (stdout when omitted)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

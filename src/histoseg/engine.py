@@ -20,9 +20,10 @@ The walk is one generator, walk_splits(), the interface for any code
 that follows it: for each level asked, from the smallest up, it yields
 its ThresholdSet with the splits made since the level before, each as
 (na, sa, nb, sb).  metrics.psnr_at_levels carries each level's exact errors
-along it: the sum of s1^2/n over the classes as one fraction whose
-denominator is the product of the class counts, which a split changes by
-three class terms with two exact int divisions, and the rounded-mean
+along it: W, the within-class sum of squares, as one fraction whose
+denominator is the product of the class counts, which a split lowers by
+the exact cost e^2/(na*nb*(na+nb)), e = nb*sa - na*sb, of the merge it
+undoes (a merge's d_sq is this cost as a float), and the rounded-mean
 error, which a split changes by three int terms.  So no level's classes
 are summed again.
 The run stores the K0-class start state once, as its between-class

@@ -150,8 +150,9 @@ def cut_set_errors(
 def _error_sums(h: Histogram, tsets: Iterable[ThresholdSet]):
     """Yield cut_set_errors' (scatter, sse_rounded) of each set as (num, den, sse_rounded).
 
-    The scatter is num/den, the sum of (n*s2 - s1^2)/n over the classes,
-    left unreduced.
+    The scatter W, the within-class sum of squares, is num/den: the sum of
+    (n*s2 - s1^2)/n over the classes, left unreduced over the product of
+    the class counts.  psnr_at_levels carries the same triple down its walk.
     """
     cn, c1, c2 = h.running_sums
     last = h.G - 1
@@ -185,6 +186,15 @@ def _rounded_sse(n: int, s1: int) -> int:
     return r * (r * n - 2 * s1)
 
 
+def _psnr_pairs(n_total: int, num: int, den: int, sse_rounded: int):
+    """histogram_psnr's pairs of an _error_sums triple over N pixels.
+
+    True division of ints is correctly rounded, so num / (den * N) is the
+    float of the reduced Fraction without its gcd.
+    """
+    return _mse_psnr(num / (den * n_total)), _mse_psnr(sse_rounded / n_total)
+
+
 def histogram_psnr(
     h: Histogram, tsets: Iterable[ThresholdSet]
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -195,18 +205,12 @@ def histogram_psnr(
     psnr(img, map_to_class_means(img, t)) and psnr(img, quantize(img, t))
     without a pass over the pixels.  Each MSE is the exact error sum of
     cut_set_errors over N, rounded once, so the real-mean value can differ
-    from the pixel route's float sum in the last digit.  The real-mean
-    MSE is num / (den * N) of int operands: true division of ints is
-    correctly rounded, as float() of the reduced Fraction is, so it is the
-    same float without the Fraction's gcd.
+    from the pixel route's float sum in the last digit.
     """
-    n_total = h.N
+    n_total = h.running_sums[0][-1]
     if n_total == 0:
         raise EmptyHistogram("histogram holds no pixels")
-    return [
-        (_mse_psnr(num / (den * n_total)), _mse_psnr(sse_rounded / n_total))
-        for num, den, sse_rounded in _error_sums(h, tsets)
-    ]
+    return [_psnr_pairs(n_total, *sums) for sums in _error_sums(h, tsets)]
 
 
 def psnr_at_levels(
@@ -216,15 +220,14 @@ def psnr_at_levels(
 
     The errors follow the same walk up the trace that finds the cuts, one
     split per level, so no level's classes are summed again.  The walk
-    keeps T, the sum of s1^2/n over the classes, as num/den with den the
-    product of the class counts.  When the class (n0, s0) splits into
-    (na, sa) and (nb, sb), with rest = den // n0, T becomes
-    ((num - s0^2*rest) // n0 * na*nb + (sa^2*nb + sb^2*na) * rest) / (rest*na*nb);
-    both divisions are exact, as every term of num but s0^2's holds n0.
-    The rounded-mean error changes by three _rounded_sse terms.  The
-    squared-gray sum S2 of the whole histogram is read once: the real-mean
-    MSE is (S2*den - num) / (den*N), a correctly rounded int true
-    division, so every pair is the same float histogram_psnr gives.
+    carries _error_sums' triple (num, den, sse_rounded), W = num/den over
+    the product den of the class counts.  When the class (n0, s0) splits
+    into (na, sa) and (nb, sb), W drops by the exact cost of the merge
+    being undone, e^2/(na*nb*n0) with e = nb*sa - na*sb, of which the merge
+    loop's d_sq is the float.  With rest = den // n0, num becomes
+    (num*na*nb - e^2*rest) // n0 over rest*na*nb, an exact division, as
+    W*den is an int at every level; sse_rounded changes by three
+    _rounded_sse terms.  So every pair is the float histogram_psnr gives.
 
     That carry costs a few times what summing one class does, at every
     step up to the largest level.  So when the distinct levels asked add
@@ -237,20 +240,16 @@ def psnr_at_levels(
         return list(zip(tsets, histogram_psnr(trace.histogram, tsets)))
     cn, c1, c2 = trace.histogram.running_sums
     n_total, s1, s2 = cn[-1], c1[-1], c2[-1]
-    num, den = s1 * s1, n_total  # T of the one class
-    sse = _rounded_sse(n_total, s1)  # the rounded-mean error, less S2
+    num, den = n_total * s2 - s1 * s1, n_total  # W*den of the one class
+    sse = s2 + _rounded_sse(n_total, s1)
     found = {}
     for splits, tset in walk_splits(trace, levels):
         for na, sa, nb, sb in splits:
-            n0, s0 = na + nb, sa + sb
-            rest, nab = den // n0, na * nb
-            num = (num - s0 * s0 * rest) // n0 * nab + (sa * sa * nb + sb * sb * na) * rest
-            den = rest * nab
-            sse += _rounded_sse(na, sa) + _rounded_sse(nb, sb) - _rounded_sse(n0, s0)
-        found[tset.M] = tset, (
-            _mse_psnr((s2 * den - num) / (den * n_total)),
-            _mse_psnr((s2 + sse) / n_total),
-        )
+            n0, nab, e = na + nb, na * nb, nb * sa - na * sb
+            rest = den // n0
+            num, den = (num * nab - e * e * rest) // n0, rest * nab
+            sse += _rounded_sse(na, sa) + _rounded_sse(nb, sb) - _rounded_sse(n0, sa + sb)
+        found[tset.M] = tset, _psnr_pairs(n_total, num, den, sse)
     return [found[m] for m in levels]
 
 

@@ -493,11 +493,30 @@ class TestBench:
 
 
 class TestArgumentValidation:
-    def test_levels_below_two_rejected(self, five_pixel_image, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "IMAGE", "--levels", "1"],
+            ["threshold", "IMAGE", "--levels", "x"],
+            ["oracle", "IMAGE", "--levels", "1"],
+            ["oracle", "IMAGE", "--levels", "x"],
+            ["sweep", "IMAGE", "--levels-list", ""],
+            ["sweep", "IMAGE", "--levels-list", "2,x"],
+            ["sweep", "IMAGE", "--levels-list", "1,3"],
+            ["bench", "--bins-list", "0"],
+            ["bench", "--bins-list", "8", "--repeat", "0"],
+        ],
+        ids=lambda argv: "_".join(a for a in argv if a != "IMAGE"),
+    )
+    def test_levels_below_two_rejected(self, argv, five_pixel_image, capsys):
+        argv = [five_pixel_image if a == "IMAGE" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
-            main(["threshold", five_pixel_image, "--levels", "1"])
+            main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        [line] = [ln for ln in err.splitlines() if "error:" in ln]
+        assert f"argument {argv[-2]}:" in line  # the flag whose value is bad
+        assert "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,7 +329,24 @@ class TestHistogramPsnr:
                 tsets.append(ThresholdSet(cuts=cuts, means=(0.0,) * (len(cuts) + 1), top=last))
             trace = run_dendrogram(h)
             tsets += thresholds_at_levels(trace, range(1, min(len(trace.records) + 1, 30) + 1))
-            for (scatter, _), (real, _) in zip(cut_set_errors(h, tsets), histogram_psnr(h, tsets)):
+            errors = cut_set_errors(h, tsets)
+            # an independent reference: per-class sums from the raw bins
+            graded = list(enumerate(h.counts))
+            for t, pair in zip(tsets, errors):
+                scatter = Fraction(0)
+                sse = lo = 0
+                for hi in t.cuts + (t.top,):
+                    bins = graded[lo : hi + 1]
+                    lo = hi + 1
+                    n = sum(c for _, c in bins)
+                    if n:
+                        s1 = sum(c * g for g, c in bins)
+                        s2 = sum(c * g * g for g, c in bins)
+                        r = (2 * s1 + n) // (2 * n)
+                        scatter += Fraction(n * s2 - s1 * s1, n)
+                        sse += s2 - 2 * r * s1 + r * r * n
+                assert pair == (scatter, sse)
+            for (scatter, _), (real, _) in zip(errors, histogram_psnr(h, tsets)):
                 mse = float(scatter / n_total)
                 assert real[0] == mse
                 db = 10 * math.log10(255**2 / mse) if mse else math.inf
