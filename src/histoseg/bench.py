@@ -36,7 +36,7 @@ def run_benchmark(bins_list, repeat: int = 5) -> dict:
             t0 = time.perf_counter()
             trace = run_dendrogram(h)
             times.append(time.perf_counter() - t0)
-        k0 = len(trace.records) + 1
+        k0 = len(trace.boundary_gray) + 1
         cuts = thresholds_at(trace, 2).cuts if k0 >= 2 else ()
         rows.append(
             {

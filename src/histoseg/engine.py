@@ -1,19 +1,20 @@
 """Agglomerative merging of gray-level classes driven by an image histogram.
 
 The engine starts from one class per occupied gray level and repeatedly
-merges the adjacent pair whose pooled squared-mean gap is smallest,
-tracking unbiased within-class and between-class variance estimates with
-O(1) updates per merge.  One O(K0^2) run over K0 initial classes is
-the only code that applies merges.  It gives each initial class one fixed
-float64 slot, the distance to its live right neighbour (+inf once merged
-away, and for the last class), read and written as Python floats through
-a memoryview, links neighbours through two index lists, finds each merge
-with one argmin scan of the array (the first minimum is the lowest slot,
-so the lowest gray wins ties) and keeps each class's exact count
-and gray sum as Python ints; nothing is shifted as classes go.  Each
-merge is recorded as it is made, by the cut it removed and v, w and q,
-the same fields its to_json() entry holds; nothing passes over the
-records afterwards.  The partitions for any class counts are read off
+merges the adjacent pair whose pooled squared-mean gap d_sq is smallest.
+One O(K0^2) run over K0 initial classes is the only code that applies
+merges.  It gives each initial class one fixed float64 slot, the distance
+to its live right neighbour (+inf once merged away, and for the last
+class), read and written as Python floats through a memoryview, links
+neighbours through two index lists, finds each merge with one argmin scan
+of the array (the first minimum is the lowest slot, so the lowest gray
+wins ties) and keeps each class's exact count and gray sum as Python
+ints; nothing is shifted as classes go.  Each merge stores only the cut
+it removed and its d_sq.  The unbiased within-class and between-class
+variance estimates v and w, and q = v/w, follow from the d_sq by O(1)
+updates per merge, in one generator, _variances(), run only when read:
+by MergeTrace.records for every merge, by variances_at() up to one level.
+The partitions for any class counts are read off
 its trace in one walk up it from the one-class partition, which puts one
 cut back per level, with every class sum from Histogram.running_sums.
 The walk is one generator, walk_splits(), the interface for any code
@@ -39,7 +40,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -198,19 +199,29 @@ class MergeRecord(NamedTuple):
 class MergeTrace:
     """Complete record of a merge run, from the initial classes down.
 
-    w0 is the between-class variance of the K0 initial classes (v is 0
-    there), or None when K0 = 1; each record rolls v and w on from it.
-    initial and ss_total are not stored: each is derived from the
-    histogram on first use.
+    boundary_gray and d_sq hold, per merge in order, the cut it removed
+    and its cost, the two values the merge loop decides.  w0 is the
+    between-class variance of the K0 initial classes (v is 0 there), or
+    None when K0 = 1; v and w roll on from it.  records, initial and
+    ss_total are not stored: each is derived on first use, records from
+    the two tuples and w0, the others from the histogram.
     """
 
     histogram: Histogram
-    records: tuple[MergeRecord, ...]
+    boundary_gray: tuple[int, ...]
+    d_sq: tuple[float, ...]
     w0: float | None
 
     @property
     def G(self) -> int:
         return self.histogram.G
+
+    @cached_property
+    def records(self) -> tuple[MergeRecord, ...]:
+        """One MergeRecord per merge, with v, w and q from _variances()."""
+        record, k0 = tuple.__new__, len(self.d_sq) + 1  # skips MergeRecord's __new__
+        rows = zip(range(1, k0), self.boundary_gray, self.d_sq, _variances(self))
+        return tuple([record(MergeRecord, (i, b, d, *vwq, k0 - i)) for i, b, d, vwq in rows])
 
     @cached_property
     def initial(self) -> ClassArray:
@@ -295,8 +306,9 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     first minimum is the lowest slot, which is the lowest gray, so ties go
     to the lowest index.  Lists prv/nxt link each class to its neighbours,
     and only the two distances touching the new class are recomputed, so
-    nothing is shifted and a run is O(K0^2).  Each merge's record is
-    appended as it is made; nothing passes over the records after the loop.
+    nothing is shifted and a run is O(K0^2).  Each merge appends its
+    boundary gray and d_sq and nothing else; v, w and q are left to
+    _variances(), for the readers that ask.
     """
     grays = h.occupied
     if not grays:
@@ -327,17 +339,15 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             diff = g - gm
             acc += n * (diff * diff)
         w0 = acc / (k0 - 1)
-    v, w = 0.0, w0
     inf = math.inf
-    # Slots go in and out as Python floats, never boxed as NumPy scalars;
-    # records skip MergeRecord's Python-level __new__.
-    argmin, slot, record = d2.argmin, memoryview(d2), tuple.__new__
-    records = []
-    for k in range(k0 - 1, 0, -1):  # k: the class count the merge leaves
+    # Slots go in and out as Python floats, never boxed as NumPy scalars.
+    argmin, slot = d2.argmin, memoryview(d2)
+    bounds, costs = [], []
+    for _ in range(k0 - 1):
         l = int(argmin())  # first minimum: the lowest slot wins ties
-        d_sq = slot[l]
+        costs.append(slot[l])
         r = nxt[l]
-        boundary = grays[r - 1]  # class l spans initial classes l..r-1
+        bounds.append(grays[r - 1])  # class l spans initial classes l..r-1
         n1 = ns[l] = ns[l] + ns[r]
         s1 = ss[l] = ss[l] + ss[r]
         slot[r] = inf
@@ -354,8 +364,19 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             slot[l] = n1 * n2 / (n1 + n2) * (diff * diff)
         else:
             slot[l] = inf
-        # The within estimate absorbs d_sq and the between estimate sheds
-        # it; both divisors follow the new class count k.
+    return MergeTrace(histogram=h, boundary_gray=tuple(bounds), d_sq=tuple(costs), w0=w0)
+
+
+def _variances(trace: MergeTrace):
+    """Yield (v, w, q) after each merge of the trace, in merge order.
+
+    The one home of the variance recursion: from v = 0 and w = w0, each
+    merge's d_sq is absorbed by the within estimate and shed by the
+    between estimate, both divisors following the class count k it leaves.
+    """
+    n_pixels = trace.histogram.N
+    v, w = 0.0, trace.w0
+    for k, d_sq in zip(range(len(trace.d_sq), 0, -1), trace.d_sq):
         dv = n_pixels - k
         v = (n_pixels - k - 1) / dv * v + d_sq / dv
         if k >= 2:
@@ -363,8 +384,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             q = v / w if w > 0 else None
         else:
             w = q = None
-        records.append(record(MergeRecord, (k0 - k, boundary, d_sq, v, w, q, k)))
-    return MergeTrace(histogram=h, records=tuple(records), w0=w0)
+        yield v, w, q
 
 
 def class_count(m: int) -> int:
@@ -424,7 +444,7 @@ def thresholds_at_levels(trace: MergeTrace, levels: Iterable[int]) -> list[Thres
     is the same float threshold_set() gives.  Levels may repeat and come
     in any order.
     """
-    levels = [check_level(m, len(trace.records) + 1) for m in levels]
+    levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
     found = {tset.M: tset for _, tset in walk_splits(trace, levels)}
     return [found[m] for m in levels]
 
@@ -442,15 +462,15 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
     """
     wanted = set(levels)
     h = trace.histogram
-    records = trace.records
-    k0 = len(records) + 1
+    bounds = trace.boundary_gray
+    k0 = len(bounds) + 1
     top = h.occupied[-1]
     cn, c1, _ = h.running_sums
     cuts, means = [], [c1[top + 1] / cn[top + 1]]  # one class: the grand mean
     splits = []
     for m in range(1, max(wanted, default=0) + 1):
         if m > 1:
-            cut = records[k0 - m].boundary_gray
+            cut = bounds[k0 - m]
             j = bisect_left(cuts, cut)
             # class j spans grays a..b-1 of the running sums and splits at cut
             a = cuts[j - 1] + 1 if j else 0
@@ -467,10 +487,14 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
 
 
 def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:
-    """(v, w, q) of the m-class partition; v = 0 and w = trace.w0 when m = K0."""
-    k0 = len(trace.records) + 1
+    """(v, w, q) of the m-class partition; v = 0 and w = trace.w0 when m = K0.
+
+    Each call runs _variances() from the start state up to level m, which
+    is K0 - m steps and builds no records; code that reads many levels
+    should read trace.records, which runs the recursion once for all.
+    """
+    k0 = len(trace.boundary_gray) + 1
     m = check_level(m, k0)
     if m < k0:
-        rec = trace.records[k0 - m - 1]
-        return rec.v, rec.w, rec.q
+        return next(islice(_variances(trace), k0 - m - 1, None))
     return 0.0, trace.w0, (0.0 if trace.w0 else None)

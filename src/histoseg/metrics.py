@@ -234,7 +234,7 @@ def psnr_at_levels(
     up to less than three times the largest, as in [2, K0], their classes
     are summed by histogram_psnr instead, which then costs less.
     """
-    levels = [check_level(m, len(trace.records) + 1) for m in levels]
+    levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
     if sum(set(levels)) < 3 * max(levels, default=0):
         tsets = thresholds_at_levels(trace, levels)
         return list(zip(tsets, histogram_psnr(trace.histogram, tsets)))

@@ -304,6 +304,28 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
                  "--report", str(tmp_path / "bench.json")]) == 0
 
 
+def test_commands_build_no_merge_records(tmp_path, monkeypatch):
+    """Cuts come off the trace's boundary grays and v, w, q off variances_at."""
+    img = standard_image(size=64)
+    k0 = len(histogram_of(img).occupied)
+    src = tmp_path / "img.pgm"
+    src.write_bytes(write_pgm(img))
+
+    def forbidden(trace):
+        raise AssertionError("merge records built")
+
+    monkeypatch.setattr(histoseg.engine.MergeTrace, "records", property(forbidden))
+    for argv in (
+        ["threshold", str(src), "--levels", "4", "--out", str(tmp_path / "q.pgm")],
+        ["threshold", str(src), "--levels", str(k0)],
+        ["sweep", str(src), "--levels-list", ",".join(map(str, range(2, 26)))],
+        ["sweep", str(src), "--levels-list", f"2,10,{k0}"],
+        ["oracle", str(src), "--levels", "3"],
+        ["bench", "--bins-list", "16,32", "--repeat", "1"],
+    ):
+        assert main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("command", ["threshold", "sweep", "oracle", "metrics", "bench"])
 def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, command):
     """A call frees everything it made by reference counting alone.

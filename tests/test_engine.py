@@ -22,6 +22,7 @@ from histoseg.engine import (
     thresholds_at_levels,
     variances_at,
 )
+from histoseg.metrics import psnr_at_levels
 from histoseg.oracle import naive_variances
 from histoseg.pgm import histogram_of
 
@@ -585,6 +586,55 @@ class TestReadOff:
             variances_at(trace, 4)
         with pytest.raises(InvalidLevel):
             variances_at(trace, 0)
+
+
+class TestDerivedRecords:
+    """The merge loop stores each merge's cut and d_sq; records and v/w/q are derived."""
+
+    def test_readers_build_no_records(self):
+        h = histogram_of(standard_image(128))
+        k0 = len(h.occupied)
+        for read in (
+            lambda trace: thresholds_at_levels(trace, [2, 4, 9]),
+            lambda trace: psnr_at_levels(trace, range(2, 26)),  # the walk carries errors
+            lambda trace: psnr_at_levels(trace, [2, k0]),  # histogram_psnr sums classes
+            lambda trace: variances_at(trace, 4),
+        ):
+            trace = run_dendrogram(h)
+            read(trace)
+            assert "records" not in vars(trace)
+
+    @pytest.mark.parametrize("first", ["records", "to_json"])
+    def test_records_are_built_once(self, first):
+        trace = run_dendrogram(histogram_of(standard_image(128)))
+        trace.to_json() if first == "to_json" else trace.records
+        records = vars(trace)["records"]
+        assert len(records) == len(trace.boundary_gray) == len(trace.d_sq)
+        assert trace.records is records
+        trace.to_json()
+        assert trace.records is records
+
+    @pytest.mark.parametrize("records_first", [False, True])
+    def test_variances_at_matches_records_at_every_level(self, records_first):
+        hists = [h for family in merge_order_families().values() for h in family]
+        hists += [
+            histogram_of(standard_image(size, seed))
+            for size in (64, 128, 256, 512)
+            for seed in (1, 7, 11)
+        ]
+        for h in hists:
+            trace = run_dendrogram(h)
+            k0 = len(trace.boundary_gray) + 1
+            records = trace.records if records_first else None
+            got = [repr(variances_at(trace, m)) for m in range(1, k0 + 1)]
+            if records is None:
+                assert "records" not in vars(trace)
+                records = trace.records
+            start = (0.0, trace.w0, 0.0 if trace.w0 else None)
+            # the record that left m classes, for m = 1 .. K0 - 1, then the start state
+            want = [repr((r.v, r.w, r.q)) for r in reversed(records)] + [repr(start)]
+            assert [r.K_after for r in reversed(records)] == list(range(1, k0))
+            assert got == want
 
 
 class TestTraceSerialization:
