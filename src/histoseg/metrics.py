@@ -19,8 +19,9 @@ from .engine import (
 
 # PSNR peak is pinned to the 8-bit maximum regardless of image content.
 PEAK = 255.0
-# Pixels per bytes.translate call in quantize; its two slice-sized
-# temporaries stay in cache.
+# Pixels per np.take call in quantize.  take widens each slice's uint16
+# indices to a 256 KiB intp temporary; twice that would push a 1024^2
+# threshold --out op past 2.5 raster sizes of memory.
 _SLICE = 1 << 16
 
 
@@ -99,28 +100,33 @@ def _class_table(t: ThresholdSet, values: np.ndarray) -> np.ndarray:
 def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     """Replace each pixel by its class mean, rounded half-up to 8 bits.
 
-    The raster goes through bytes.translate with a 256-byte table, about
-    three times as fast as NumPy's table[pixels] on uint8 pixels, in
-    64 KiB slices written into one preallocated output.  So for a
-    C-contiguous image, as read_pgm gives, the output is the only
+    The raster is read as uint16 pairs, half as many lookups as pixels,
+    through a 65536-entry table that holds both pixels' rounded means: the
+    entry at hi << 8 | lo is table[lo] | table[hi] << 8, right in either
+    byte order.  np.take maps _SLICE // 2 pairs at a time into one
+    preallocated output, and an odd last pixel is mapped on its own.  So
+    for a C-contiguous image, as read_pgm gives, the output is the only
     raster-sized buffer made; a non-contiguous view is first copied in
-    row-major order.  Each translate also deletes the gray levels above
-    t.top, so a slice that comes back short, and no longer fits its place
-    in the output, held such a pixel and raises RangeMismatch; the raster
-    is scanned for its maximum only then, to name it in the message.
+    row-major order.  Pixels above t.top raise RangeMismatch, naming the
+    largest; the raster is scanned for it before mapping, unless t.top is
+    255, which no 8-bit pixel exceeds.
     """
     means = np.asarray(t.means, dtype=np.float64)
-    table = _class_table(t, np.floor(means + 0.5).astype(np.uint8)).tobytes()
-    above = bytes(range(min(t.top, 255) + 1, 256))
+    table = _class_table(t, np.floor(means + 0.5).astype(np.uint16))
+    pair = (table[:, None] << 8 | table).ravel()
+    if t.top < 255:
+        _check_range(img, t)
     src = img.pixels.ravel()
     out = np.empty(img.pixels.shape, dtype=np.uint8)
-    dst = memoryview(out).cast("B")
-    for i in range(0, src.size, _SLICE):
-        try:
-            dst[i : i + _SLICE] = src[i : i + _SLICE].tobytes().translate(table, above)
-        except ValueError:  # a short slice: translate deleted a pixel above t.top
-            _check_range(img, t)
-            raise
+    flat = out.reshape(-1)
+    even = src.size & ~1
+    pairs, dst = src[:even].view(np.uint16), flat[:even].view(np.uint16)
+    step = _SLICE // 2
+    for i in range(0, pairs.size, step):
+        # No uint16 is out of range; "clip" skips the default's output buffer.
+        np.take(pair, pairs[i : i + step], out=dst[i : i + step], mode="clip")
+    if even < src.size:
+        flat[-1] = table[src[-1]]
     return GrayImage(pixels=out)
 
 

@@ -30,7 +30,7 @@ from histoseg.metrics import (
     quantize,
     relative_area_error,
 )
-from histoseg.pgm import histogram_of
+from histoseg.pgm import histogram_of, read_pgm
 
 from helpers import (
     dense_histogram,
@@ -98,7 +98,7 @@ class TestQuantize:
             map_to_class_means(gray([1, 7]), t)
 
     def test_range_mismatch_only_in_last_slice(self):
-        # 65537 pixels make two 64 KiB translate slices; the second holds one,
+        # 65537 pixels make one full slice of pairs and an odd last pixel,
         # the lowest gray above top.
         px = np.zeros((1, 65537), dtype=np.uint8)
         px[0, -1] = 6
@@ -108,7 +108,7 @@ class TestQuantize:
 
     def test_range_mismatch_in_transposed_view(self):
         # Pixel 399 of the raster, but of the view's row-major order the
-        # 119701st, in its second translate slice.
+        # 119701st, in its second slice of pairs.
         px = np.ones((300, 400), dtype=np.uint8)
         px[0, -1] = 9
         img = GrayImage(pixels=px.T)
@@ -148,8 +148,8 @@ class TestQuantize:
                     assert got.pixels.tobytes() == rounded_means_reference(px, t)
 
     def test_matches_reference_across_slice_boundaries(self):
-        # quantize translates 64 Ki pixels at a time; these rasters end just
-        # before, at and just after a slice boundary, or span several slices.
+        # quantize maps 32 Ki pairs, 64 Ki pixels, at a time; these rasters end
+        # just before, at and just after a slice boundary, or span several.
         rng = np.random.default_rng(20261019)
         views = [rng.integers(0, 256, size=shape, dtype=np.uint8)
                  for shape in ((1, 65535), (1, 65536), (1, 65537), (256, 256), (256, 257))]
@@ -167,6 +167,60 @@ class TestQuantize:
         t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
         mapped = map_to_class_means(img, t)
         assert mapped.tolist() == [[1.5, 1.5, 1.5, 1.5, 5.0]]
+
+
+class TestQuantizePairPath:
+    """quantize maps the raster as uint16 pairs, with an odd last pixel on its own."""
+
+    @staticmethod
+    def assert_reference_parity(px):
+        img = GrayImage(pixels=px)
+        trace = run_dendrogram(histogram_of(img))
+        k0 = trace.initial.K
+        for t in thresholds_at_levels(trace, (min(2, k0), min(7, k0), k0)):
+            got = quantize(img, t).pixels
+            assert got.shape == px.shape
+            assert got.tobytes() == rounded_means_reference(px, t)
+
+    def test_p5_raster_at_odd_offset(self):
+        # As in every threshold-2048 op: a 17-byte header puts the raster at
+        # an odd address, so the pairs are an unaligned uint16 view.
+        rng = np.random.default_rng(401)
+        px = rng.integers(0, 256, size=(301, 523), dtype=np.uint8)
+        header = b"P5 523 301 255\n"
+        img = read_pgm(header + px.tobytes())
+        assert img.pixels.ctypes.data % 2 == 1 and px.size % 2 == 1
+        self.assert_reference_parity(img.pixels)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (257, 255)], ids=str)
+    def test_odd_pixel_total(self, shape):
+        rng = np.random.default_rng(409)
+        self.assert_reference_parity(rng.integers(0, 256, size=shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(255, 257), (256, 300)], ids=str)
+    def test_transposed_view(self, shape):
+        px = np.random.default_rng(419).integers(0, 256, size=shape, dtype=np.uint8).T
+        assert not px.flags.c_contiguous
+        self.assert_reference_parity(px)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (257, 255)], ids=str)
+    def test_range_mismatch_in_odd_last_pixel(self, shape):
+        px = np.zeros(shape, dtype=np.uint8)
+        px[-1, -1] = 6
+        t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
+        with pytest.raises(RangeMismatch, match=r"^pixel value 6 exceeds threshold range top 5$"):
+            quantize(GrayImage(pixels=px), t)
+
+    def test_top_255_maps_without_scanning(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("histoseg.metrics._check_range", lambda img, t: calls.append(t.top))
+        px = np.random.default_rng(421).integers(0, 256, size=(63, 65), dtype=np.uint8)
+        px[0, 0] = 255
+        t = ThresholdSet(cuts=(99, 200), means=(49.5, 150.0, 227.5), top=255)
+        assert quantize(GrayImage(pixels=px), t).pixels.tobytes() == rounded_means_reference(px, t)
+        assert calls == []
+        quantize(GrayImage(pixels=px), ThresholdSet(cuts=(99,), means=(49.5, 177.0), top=254))
+        assert calls == [254]
 
 
 class TestMisclassificationError:

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,3 +464,30 @@ class TestHistogramOfPairPath:
         assert_bincount_parity(
             GrayImage(pixels=rng.integers(0, 256, size=(1, pixels), dtype=np.uint8))
         )
+
+
+class TestHistogramOfPairCount:
+    """The pair path counts into its 65536-bin table without widening the raster."""
+
+    def test_peak_memory_at_2048(self):
+        px = np.random.default_rng(229).integers(0, 256, size=(2048, 2048), dtype=np.uint8)
+        img = GrayImage(pixels=px)
+        tracemalloc.start()
+        try:
+            h = histogram_of(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert h.N == px.size
+
+    @pytest.mark.parametrize("kind", ["uniform", "constant", "two-level"])
+    def test_bincount_parity_at_2048(self, kind):
+        rng = np.random.default_rng(233)
+        if kind == "uniform":
+            px = rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8)
+        elif kind == "constant":
+            px = np.full((2048, 2048), 37, dtype=np.uint8)
+        else:
+            px = np.where(rng.random((2048, 2048)) < 0.3, 12, 240).astype(np.uint8)
+        assert_bincount_parity(GrayImage(pixels=px))
