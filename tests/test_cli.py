@@ -167,7 +167,7 @@ class TestThreshold:
         assert out.read_bytes() == write_pgm(quantize(img, tset))
         assert src.read_bytes() == before
 
-    @pytest.mark.parametrize("size", [1024, 2048])  # 2048**2 takes histogram_of's pair path
+    @pytest.mark.parametrize("size", [1024, 2048])  # both take histogram_of's pair path
     def test_out_keeps_at_most_two_rasters_alive(self, tmp_path, size):
         # The input file's bytes and the quantized output; the input is freed
         # before write_pgm makes the output file's bytes.

@@ -211,16 +211,11 @@ class TestQuantizePairPath:
         with pytest.raises(RangeMismatch, match=r"^pixel value 6 exceeds threshold range top 5$"):
             quantize(GrayImage(pixels=px), t)
 
-    def test_top_255_maps_without_scanning(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("histoseg.metrics._check_range", lambda img, t: calls.append(t.top))
+    def test_top_255_maps_every_gray(self):
         px = np.random.default_rng(421).integers(0, 256, size=(63, 65), dtype=np.uint8)
-        px[0, 0] = 255
+        px[0, 0], px[-1, -1] = 255, 255
         t = ThresholdSet(cuts=(99, 200), means=(49.5, 150.0, 227.5), top=255)
         assert quantize(GrayImage(pixels=px), t).pixels.tobytes() == rounded_means_reference(px, t)
-        assert calls == []
-        quantize(GrayImage(pixels=px), ThresholdSet(cuts=(99,), means=(49.5, 177.0), top=254))
-        assert calls == [254]
 
 
 class TestMisclassificationError:
