@@ -13,7 +13,6 @@ from .engine import (
     MergeTrace,
     ThresholdSet,
     check_level,
-    thresholds_at_levels,
     walk_splits,
 )
 
@@ -111,10 +110,14 @@ def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     largest; the raster is scanned for it before mapping.  Building the
     pair table costs about 8 us whatever the image, so below 256^2 pixels
     this is slower than a 256-entry table (a 64^2 image twice as slow);
-    from there on the halved lookups pay for it.
+    from there on the halved lookups pay for it.  A mean that is NaN or
+    rounds outside [0, 255] raises ValueError.
     """
-    means = np.asarray(t.means, dtype=np.float64)
-    table = _class_table(t, np.floor(means + 0.5).astype(np.uint16))
+    rounded = np.floor(np.asarray(t.means, dtype=np.float64) + 0.5)
+    bad = ~((rounded >= 0) & (rounded <= 255))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"class mean {t.means[bad.argmax()]} does not round into [0, 255]")
+    table = _class_table(t, rounded.astype(np.uint16))
     pair = (table[:, None] << 8 | table).ravel()
     _check_range(img, t)
     src = img.pixels.ravel()
@@ -236,15 +239,11 @@ def psnr_at_levels(
     W*den is an int at every level; sse_rounded changes by three
     _rounded_sse terms.  So every pair is the float histogram_psnr gives.
 
-    That carry costs a few times what summing one class does, at every
-    step up to the largest level.  So when the distinct levels asked add
-    up to less than three times the largest, as in [2, K0], their classes
-    are summed by histogram_psnr instead, which then costs less.
+    Every level list takes this one route, K0 - 1 steps at most.  On a
+    sparse list far up the trace, as [K0], that costs up to about twice
+    what histogram_psnr's sums of the asked classes would.
     """
     levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
-    if sum(set(levels)) < 3 * max(levels, default=0):
-        tsets = thresholds_at_levels(trace, levels)
-        return list(zip(tsets, histogram_psnr(trace.histogram, tsets)))
     cn, c1, c2 = trace.histogram.running_sums
     n_total, s1, s2 = cn[-1], c1[-1], c2[-1]
     num, den = n_total * s2 - s1 * s1, n_total  # W*den of the one class

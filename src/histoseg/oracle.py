@@ -6,10 +6,10 @@ checks of each other: naive_variances sums the plain definitions over
 the bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
 globally optimal cut set by dynamic programming over the occupied levels,
 with exact tie-breaking.  Its score table holds only the feasible cells,
-in at most two 128-row blocks, and stays exact in each class's count and
-gray sum at any pixel count (int64 differences once the pixel count or
-gray sum reaches 2^53).  The exact scatter of a cut set, by which the two
-are compared, is metrics.cut_set_errors.
+one block per 128 rows (at most two for 256 levels), and stays exact in
+each class's count and gray sum at any pixel count (int64 differences
+once the pixel count or gray sum reaches 2^53).  The exact scatter of a
+cut set, by which the two are compared, is metrics.cut_set_errors.
 """
 
 import numpy as np
@@ -24,9 +24,9 @@ from .engine import (
     threshold_set,
 )
 
-# exhaustive_otsu keeps its score table in blocks of _ROWS rows, at most two
-# as K0 <= 256.  A block keeps only the columns from its first row on, since
-# a class cannot end before it starts; _BELOW marks the cells with c < i of
+# exhaustive_otsu keeps its score table in one block per _ROWS rows, at most
+# two for 256 levels.  A block keeps only the columns from its first row on,
+# as a class cannot end before it starts; _BELOW marks the cells with c < i of
 # its leading square.  Smaller blocks cost more NumPy calls per DP sweep.
 _ROWS = 128
 _BELOW = np.tri(_ROWS, _ROWS, -1, dtype=bool)
@@ -82,18 +82,18 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     same optimum an enumeration of all comb(K0 - 1, m - 1) cut sets finds,
     in O(m * K0^2) time (Fisher's grouping for maximum homogeneity).  Its
     table of class scores keeps only the feasible cells, those where a
-    class ends at or after its start, in at most two blocks of 128 rows:
-    three quarters of K0^2 cells at K0 = 256.  Each class's count and gray
-    sum enters its float score as one correctly rounded float at any pixel
-    count: as a difference of float64 running sums while the pixel count
-    and the gray sum stay below 2^53, where those are exact, and of int64
-    running sums from 2^53 on.  Exact ties keep the lexicographically
-    smallest cut set: every DP cell takes the smallest first-class end
-    that reaches its exact optimum, and a cell with several float scores
-    within rounding error of its maximum settles them exactly from the
-    integer class sums.  Raises InvalidLevel when m is not an integer,
-    m < 2 or fewer than m levels are occupied, and EmptyHistogram for no
-    pixels.
+    class ends at or after its start, one block per 128 rows (at most two
+    for 256 levels): three quarters of K0^2 cells at K0 = 256.  Each
+    class's count and gray sum enters its float score as one correctly
+    rounded float at any pixel count: as a difference of float64 running
+    sums while the pixel count and the gray sum stay below 2^53, where
+    those are exact, and of int64 running sums from 2^53 on.  Exact ties
+    keep the lexicographically smallest cut set: every DP cell takes the
+    smallest first-class end that reaches its exact optimum, and a cell
+    with several float scores within rounding error of its maximum settles
+    them exactly from the integer class sums.  Raises InvalidLevel when m
+    is not an integer, m < 2 or fewer than m levels are occupied, and
+    EmptyHistogram for no pixels.
     """
     m = class_count(m)
     if m < 2:

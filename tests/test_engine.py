@@ -597,7 +597,7 @@ class TestDerivedRecords:
         for read in (
             lambda trace: thresholds_at_levels(trace, [2, 4, 9]),
             lambda trace: psnr_at_levels(trace, range(2, 26)),  # the walk carries errors
-            lambda trace: psnr_at_levels(trace, [2, k0]),  # histogram_psnr sums classes
+            lambda trace: psnr_at_levels(trace, [2, k0]),  # the carry, far up
             lambda trace: variances_at(trace, 4),
         ):
             trace = run_dendrogram(h)

@@ -162,6 +162,18 @@ class TestQuantize:
                 assert got.shape == px.shape
                 assert got.tobytes() == rounded_means_reference(px, t)
 
+    def test_means_must_round_to_a_gray(self):
+        # A hand-built set may carry any mean; one that rounds past 255 would
+        # overflow its pair table entry, 300 << 8 | 300, and map by position.
+        img = gray([0, 10, 200, 255])
+        for mean in (300.0, -3.0, 255.6, math.nan):
+            t = ThresholdSet(cuts=(), means=(mean,), top=255)
+            with pytest.raises(ValueError, match=rf"^class mean {mean} does not round"):
+                quantize(img, t)
+        for mean, want in ((255.4, 255), (-0.4, 0)):
+            t = ThresholdSet(cuts=(), means=(mean,), top=255)
+            assert quantize(img, t).pixels.tolist() == [[want] * 4]
+
     def test_map_to_class_means_is_real_valued(self):
         img = gray([1, 1, 2, 2, 5])
         t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
@@ -445,7 +457,7 @@ class TestPsnrAtLevels:
     def test_matches_histogram_psnr_at_every_level(self):
         """Cut sets and (MSE, PSNR) pairs equal histogram_psnr's exactly, levels 1..K0.
 
-        Both of psnr_at_levels' routes are checked: every level, and a few.
+        The carry is checked on every level, and on a few far apart.
         """
         rng = random.Random(137)
         hists = [histogram_of(standard_image(size, seed))
@@ -466,13 +478,25 @@ class TestPsnrAtLevels:
             # every level, some twice: psnr_at_levels carries the errors
             dense = list(range(1, k0 + 1)) + [rng.randint(1, k0) for _ in range(3)]
             rng.shuffle(dense)
-            # a few levels up to K0: most are summed per level instead
+            # a few levels up to K0: the carry crosses the unasked ones
             sparse = rng.sample(range(1, k0 + 1), min(k0, rng.randint(1, 4))) + [k0]
             for levels in (dense, sparse):
                 tsets = thresholds_at_levels(trace, levels)
                 assert psnr_at_levels(trace, levels) == list(zip(tsets, histogram_psnr(h, tsets)))
             checked += k0
         assert checked >= 10_000
+
+    def test_every_level_list_carries_the_errors(self, monkeypatch):
+        # No list falls back to summing its classes, not even a few far up.
+        trace = run_dendrogram(histogram_of(standard_image(256)))
+        k0 = len(trace.boundary_gray) + 1
+
+        def no_sums(*args):
+            raise AssertionError("psnr_at_levels summed classes")
+
+        monkeypatch.setattr("histoseg.metrics._error_sums", no_sums)
+        for levels in ([], [1], [4], [2, k0], [k0], [2, 9, 60, 150, k0]):
+            assert [t.M for t, _ in psnr_at_levels(trace, levels)] == levels
 
     def test_levels_are_checked(self):
         trace = run_dendrogram(hist_from({1: 2, 2: 2, 5: 1}))

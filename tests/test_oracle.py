@@ -165,12 +165,14 @@ class TestExhaustiveOtsu:
                     searches += 1
         assert searches == 108
 
-    @pytest.mark.parametrize("k0", [127, 128, 129])
+    @pytest.mark.parametrize("k0", [127, 128, 129, 300])
     def test_matches_exact_reference_across_the_block_seam(self, k0):
-        # the score table splits at row 128: 127 and 128 occupied levels fit
-        # one block and 129 open a second; counts from {1, 2, 3, 6} tie often
+        # the score table splits every 128 rows: 127 and 128 occupied levels
+        # fit one block, 129 open a second and 300, on 300 gray levels, a
+        # third; counts from {1, 2, 3, 6} tie often
         rng = random.Random(k0)
-        h = hist_from({g: rng.choice((1, 2, 3, 6)) for g in rng.sample(range(256), k0)})
+        grays = max(256, k0)
+        h = hist_from({g: rng.choice((1, 2, 3, 6)) for g in rng.sample(range(grays), k0)}, grays)
         for m in (2, 3):
             assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (k0, m)
 
