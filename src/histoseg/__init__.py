@@ -16,6 +16,7 @@ from .metrics import (
     DimensionMismatch,
     RangeMismatch,
     histogram_psnr,
+    level_stats,
     map_to_class_means,
     psnr,
     psnr_at_levels,
@@ -35,6 +36,7 @@ __all__ = [
     "histogram_from_json",
     "histogram_of",
     "histogram_psnr",
+    "level_stats",
     "map_to_class_means",
     "psnr",
     "psnr_at_levels",

@@ -8,12 +8,12 @@ import time
 
 from . import __version__
 from .bench import run_benchmark
-from .engine import InvalidLevel, run_dendrogram, thresholds_at, variances_at
+from .engine import InvalidLevel, run_dendrogram, thresholds_at
 from .metrics import (
     DimensionMismatch,
     cut_set_errors,
     foreground_of,
-    histogram_psnr,
+    level_stats,
     misclassification_error,
     psnr,
     psnr_at_levels,
@@ -90,9 +90,7 @@ def _cmd_threshold(args) -> dict:
     trace = run_dendrogram(h)
     merge_s = time.perf_counter() - t0
     tset = thresholds_at(trace, args.levels)  # rejects a level the histogram lacks
-    v, w, q = variances_at(trace, args.levels)
-
-    [((mse, psnr_real), (mse_rounded, psnr_rounded))] = histogram_psnr(h, [tset])
+    [(((mse, psnr_real), (mse_rounded, psnr_rounded)), (v, w, q))] = level_stats(h, [tset])
 
     t0 = time.perf_counter()
     if args.out:

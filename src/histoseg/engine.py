@@ -14,6 +14,9 @@ it removed and its d_sq.  The unbiased within-class and between-class
 variance estimates v and w, and q = v/w, follow from the d_sq by O(1)
 updates per merge, in one generator, _variances(), run only when read:
 by MergeTrace.records for every merge, by variances_at() up to one level.
+That is the paper's recursion, kept as library API and checked against
+naive sums; no command reads it, as metrics.level_stats gives a cut set's
+v, w and q exactly from the histogram's sums.
 The partitions for any class counts are read off
 its trace in one walk up it from the one-class partition, which puts one
 cut back per level, with every class sum from Histogram.running_sums.

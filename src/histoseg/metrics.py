@@ -96,6 +96,15 @@ def _class_table(t: ThresholdSet, values: np.ndarray) -> np.ndarray:
     return table
 
 
+def _rounded_means(t: ThresholdSet) -> np.ndarray:
+    """t.means rounded half-up, as float64; ValueError for one NaN or outside [0, 255]."""
+    rounded = np.floor(np.asarray(t.means, dtype=np.float64) + 0.5)
+    bad = ~((rounded >= 0) & (rounded <= 255))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"class mean {t.means[bad.argmax()]} does not round into [0, 255]")
+    return rounded
+
+
 def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     """Replace each pixel by its class mean, rounded half-up to 8 bits.
 
@@ -113,11 +122,7 @@ def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     from there on the halved lookups pay for it.  A mean that is NaN or
     rounds outside [0, 255] raises ValueError.
     """
-    rounded = np.floor(np.asarray(t.means, dtype=np.float64) + 0.5)
-    bad = ~((rounded >= 0) & (rounded <= 255))  # NaN fails both
-    if bad.any():
-        raise ValueError(f"class mean {t.means[bad.argmax()]} does not round into [0, 255]")
-    table = _class_table(t, rounded.astype(np.uint16))
+    table = _class_table(t, _rounded_means(t).astype(np.uint16))
     pair = (table[:, None] << 8 | table).ravel()
     _check_range(img, t)
     src = img.pixels.ravel()
@@ -135,7 +140,12 @@ def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
 
 
 def map_to_class_means(img: GrayImage, t: ThresholdSet) -> np.ndarray:
-    """Per-pixel real-valued class means (no rounding), for use with psnr()."""
+    """Per-pixel real-valued class means (no rounding), for use with psnr().
+
+    Means are checked as quantize() checks them: one that is NaN or rounds
+    outside [0, 255] raises ValueError.
+    """
+    _rounded_means(t)
     _check_range(img, t)
     return _class_table(t, np.asarray(t.means, dtype=np.float64))[img.pixels]
 
@@ -215,12 +225,50 @@ def histogram_psnr(
     psnr(img, map_to_class_means(img, t)) and psnr(img, quantize(img, t))
     without a pass over the pixels.  Each MSE is the exact error sum of
     cut_set_errors over N, rounded once, so the real-mean value can differ
-    from the pixel route's float sum in the last digit.
+    from the pixel route's float sum in the last digit.  These are
+    level_stats' pairs without its v, w and q.
     """
-    n_total = h.running_sums[0][-1]
+    return [pairs for pairs, _ in level_stats(h, tsets)]
+
+
+def level_stats(h: Histogram, tsets: Iterable[ThresholdSet]) -> list[tuple[tuple, tuple]]:
+    """histogram_psnr()'s (MSE, PSNR) pairs of each cut set, each with its (v, w, q).
+
+    v = W/(N - M) and w = (T - W)/(M - 1) are the unbiased within- and
+    between-class variance estimates, q = v/w, with W the within-class and
+    T the total sum of squares and M = t.M, empty classes included.  Each
+    is one int true division of the exact sums, so it is correctly rounded.
+    """
+    tsets = list(tsets)
+    cn, c1, c2 = h.running_sums
+    n_total = cn[-1]
     if n_total == 0:
         raise EmptyHistogram("histogram holds no pixels")
-    return [_psnr_pairs(n_total, *sums) for sums in _error_sums(h, tsets)]
+    nt = n_total * c2[-1] - c1[-1] * c1[-1]  # N*T, T the total sum of squares
+    return [
+        (_psnr_pairs(n_total, num, den, sse), _estimates(n_total, nt, t.M, num, den))
+        for t, (num, den, sse) in zip(tsets, _error_sums(h, tsets))
+    ]
+
+
+def _estimates(n: int, nt: int, m: int, num: int, den: int):
+    """(v, w, q) of m classes over n pixels with W = num/den and N*T = nt.
+
+    With b = N*den*(T - W), an int: v = num/(den*(N - M)),
+    w = b/(N*den*(M - 1)) and q = N*(M - 1)*num/((N - M)*b).  Edge values
+    are engine._variances' and oracle.naive_variances': v is 0.0 when
+    N <= M (with no empty class, each class then holds one pixel and
+    W = 0), w and q are None for one class, and q is None when w is 0 and
+    0.0 when W is.
+    """
+    v = num / (den * (n - m)) if n > m else 0.0
+    if m < 2:
+        return v, None, None
+    b = nt * den - n * num
+    w = b / (n * den * (m - 1))
+    if not b:
+        return v, w, None
+    return v, w, (n * (m - 1) * num / ((n - m) * b) if n > m else 0.0)
 
 
 def psnr_at_levels(

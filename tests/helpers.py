@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +70,34 @@ def standard_image(size: int = 512, seed: int = 7) -> GrayImage:
     )
     px = np.clip(np.rint(base + rng.normal(0, 8, (size, size))), 0, 255)
     return GrayImage(pixels=px.astype(np.uint8))
+
+
+def exact_variances(h: Histogram, t: ThresholdSet):
+    """float(Fraction) of the paper's v = W/(N - M), w = (T - W)/(M - 1) and q = v/w.
+
+    W, the within-class sum of squares of t's M classes, and T, the total,
+    are summed as Fractions from the raw bins.  v is 0.0 when N <= M; w and
+    q are None for one class, and q is None when w is 0.
+    """
+    graded = list(enumerate(h.counts))
+
+    def scatter(bins):  # (n, sum of squares about the bins' mean)
+        n = sum(c for _, c in bins)
+        s1 = sum(c * g for g, c in bins)
+        s2 = sum(c * g * g for g, c in bins)
+        return n, Fraction(n * s2 - s1 * s1, n) if n else Fraction(0)
+
+    within, lo = Fraction(0), 0
+    for hi in t.cuts + (t.top,):
+        within += scatter(graded[lo : hi + 1])[1]
+        lo = hi + 1
+    n, total = scatter(graded)
+    m = t.M
+    v = within / (n - m) if n > m else Fraction(0)
+    if m < 2:
+        return float(v), None, None
+    w = (total - within) / (m - 1)
+    return float(v), float(w), float(v / w) if w else None
 
 
 def merge_order_families() -> dict[str, list[Histogram]]:

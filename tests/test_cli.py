@@ -17,7 +17,7 @@ from histoseg.metrics import GrayImage, quantize
 from histoseg.oracle import naive_variances
 from histoseg.pgm import histogram_of, read_pgm, write_pgm
 
-from helpers import rel_err, small_image, standard_image
+from helpers import exact_variances, rel_err, small_image, standard_image
 
 
 def save_pgm(path, rows):
@@ -83,6 +83,21 @@ class TestThreshold:
                 assert rel_err(data["v"], v) <= 1e-9
                 assert rel_err(data["w"], w) <= 1e-9
                 assert rel_err(data["q"], v / w) <= 1e-9
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_variances_are_the_correctly_rounded_definitions(self, tmp_path, size):
+        """At every level, v, w and q are float(Fraction) of the estimators, bit for bit."""
+        img = standard_image(size)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(write_pgm(img))
+        h = histogram_of(img)
+        trace = run_dendrogram(h)
+        report = tmp_path / "report.json"
+        for m in range(2, len(h.occupied) + 1):
+            assert main(["threshold", str(path), "--levels", str(m),
+                         "--report", str(report)]) == 0
+            data = json.loads(report.read_text())
+            assert (data["v"], data["w"], data["q"]) == exact_variances(h, thresholds_at(trace, m))
 
     def test_report_to_stdout(self, five_pixel_image, capsys):
         assert main(["threshold", five_pixel_image, "--levels", "2"]) == 0
@@ -195,7 +210,7 @@ def test_threshold_out_at_2048_is_byte_identical_to_pinned_digests(tmp_path, mon
         "41ed66b5be3f2242647930a09add1ab2395d5a385ee2679e480b82592a9aaa2c"
     )
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "13551abfb05617162433c350b0b918db2a1c8c315ae615aa2f69a391ac895f06"
+        "b0f5cf04da27f35ef946e81f266930c74ef5012e1e5d30a5ff97f295dc9ada63"
     )
 
 
@@ -208,7 +223,7 @@ def test_threshold_on_p2_tiles_is_byte_identical_to_pinned_digest(tmp_path, monk
         assert main(["threshold", "img.pgm", "--levels", "4", "--report", "r.json"]) == 0
         digest.update((json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n").encode())
     assert digest.hexdigest() == (
-        "880602d240725e2124fa6bf588dd98fca92d13ca0883d0bbb929d89965b370f1"
+        "f6022a49832a9b108780011a35b1af4af33361897e02ba90f520406891fb126d"
     )
 
 
@@ -305,7 +320,7 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
 
 
 def test_commands_build_no_merge_records(tmp_path, monkeypatch):
-    """Cuts come off the trace's boundary grays and v, w, q off variances_at."""
+    """Cuts come off the trace's boundary grays and v, w, q off the histogram's error sums."""
     img = standard_image(size=64)
     k0 = len(histogram_of(img).occupied)
     src = tmp_path / "img.pgm"

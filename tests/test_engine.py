@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -327,6 +328,38 @@ class TestRunDendrogram:
                 classes[l : l + 2] = [(n1 + n2, s1 + s2)]
                 a += Fraction((s1 + s2) ** 2, n1 + n2) - Fraction(s1 * s1, n1)
                 a -= Fraction(s2 * s2, n2)
+
+    def test_merge_costs_never_fall(self):
+        """Each merge costs at least the one before it, exactly and as d_sq.
+
+        The contiguous Ward merge is reducible: a merge lowers no cost of a
+        pair it leaves alone, and the pair it creates costs at least the
+        merge.  The exact cost e^2/(n1*n2*(n1+n2)), e = n2*s1 - n1*s2, is
+        replayed from the integer class sums along each trace, merging the
+        class whose top gray is each boundary into its right neighbour.
+        """
+        hists = [h for family in merge_order_families().values() for h in family]
+        hists += [histogram_of(standard_image(size, seed))
+                  for size in (64, 128, 256, 512) for seed in (7, 11)]
+        merges = 0
+        for h in hists:
+            trace = run_dendrogram(h)
+            assert all(map(operator.le, trace.d_sq, trace.d_sq[1:]))
+            tops = list(h.occupied)
+            classes = [(h.counts[g], h.counts[g] * g) for g in tops]  # (n, exact gray sum)
+            last = Fraction(0)
+            for boundary, d_sq in zip(trace.boundary_gray, trace.d_sq):
+                l = tops.index(boundary)
+                del tops[l]
+                (n1, s1), (n2, s2) = classes[l : l + 2]
+                e = n2 * s1 - n1 * s2
+                cost = Fraction(e * e, n1 * n2 * (n1 + n2))
+                assert cost >= last
+                assert rel_err(d_sq, float(cost)) <= 1e-12  # the replay follows the trace
+                last = cost
+                classes[l : l + 2] = [(n1 + n2, s1 + s2)]
+            merges += len(trace.d_sq)
+        assert len(hists) == 511 and merges > 9_000
 
     @pytest.mark.parametrize("size", [512, 2048])
     def test_recurrence_matches_naive_at_paper_scale(self, size):

@@ -14,6 +14,7 @@ from histoseg.engine import (
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
+    variances_at,
 )
 from histoseg.metrics import (
     BinaryMask,
@@ -23,6 +24,7 @@ from histoseg.metrics import (
     cut_set_errors,
     foreground_of,
     histogram_psnr,
+    level_stats,
     map_to_class_means,
     misclassification_error,
     psnr,
@@ -34,6 +36,7 @@ from histoseg.pgm import histogram_of, read_pgm
 
 from helpers import (
     dense_histogram,
+    exact_variances,
     hist_from,
     merge_order_families,
     rel_err,
@@ -165,11 +168,13 @@ class TestQuantize:
     def test_means_must_round_to_a_gray(self):
         # A hand-built set may carry any mean; one that rounds past 255 would
         # overflow its pair table entry, 300 << 8 | 300, and map by position.
+        # map_to_class_means checks alike, so psnr never sees a NaN mean.
         img = gray([0, 10, 200, 255])
         for mean in (300.0, -3.0, 255.6, math.nan):
             t = ThresholdSet(cuts=(), means=(mean,), top=255)
-            with pytest.raises(ValueError, match=rf"^class mean {mean} does not round"):
-                quantize(img, t)
+            for mapping in (quantize, map_to_class_means):
+                with pytest.raises(ValueError, match=rf"^class mean {mean} does not round"):
+                    mapping(img, t)
         for mean, want in ((255.4, 255), (-0.4, 0)):
             t = ThresholdSet(cuts=(), means=(mean,), top=255)
             assert quantize(img, t).pixels.tolist() == [[want] * 4]
@@ -423,6 +428,52 @@ class TestHistogramPsnr:
     def test_empty_histogram(self):
         with pytest.raises(EmptyHistogram):
             histogram_psnr(hist_from({}), [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
+
+
+class TestLevelStats:
+    def test_variances_are_the_correctly_rounded_definitions(self):
+        """v, w and q equal float(Fraction) of the paper's estimators, bit for bit.
+
+        At every level of each trace, beside histogram_psnr's pairs, and
+        within 1e-13 of the float recursion variances_at rolls.
+        """
+        hists = [h for family in merge_order_families().values() for h in family]
+        hists += [histogram_of(standard_image(size, seed))
+                  for size in (64, 128) for seed in (7, 11)]
+        checked = 0
+        for h in hists:
+            trace = run_dendrogram(h)
+            levels = range(1, len(trace.boundary_gray) + 2)
+            tsets = thresholds_at_levels(trace, levels)
+            stats = level_stats(h, tsets)
+            assert [pairs for pairs, _ in stats] == histogram_psnr(h, tsets)
+            for m, t, (_, vwq) in zip(levels, tsets, stats):
+                assert vwq == exact_variances(h, t)
+                for got, rolled in zip(vwq, variances_at(trace, m)):
+                    assert (got is None) == (rolled is None)
+                    assert got is None or rel_err(got, rolled) <= 1e-13
+                checked += 1
+        assert checked > 9_000
+
+    def test_edge_values(self):
+        def stats(h, cuts, top):
+            t = ThresholdSet(cuts=cuts, means=(0.0,) * (len(cuts) + 1), top=top)
+            [(_, vwq)] = level_stats(h, [t])
+            assert vwq == exact_variances(h, t)
+            return vwq
+
+        five = hist_from({1: 2, 2: 2, 5: 1})
+        # M = K0: W = 0, so v and q are 0.0
+        assert stats(five, (1, 2), 5) == (0.0, 5.4, 0.0)
+        # N = M: one pixel per class, and v = 0.0 with no division by N - M
+        assert stats(hist_from({0: 1, 3: 1, 7: 1}), (0, 3), 7) == (0.0, 37 / 3, 0.0)
+        # one class: w and q are None, and v is W/(N - 1)
+        assert stats(five, (), 5) == (2.7, None, None)
+        assert stats(hist_from({4: 1}), (), 4) == (0.0, None, None)
+        # every pixel in one class of two: T = W, so w = 0 and q is None
+        assert stats(hist_from({1: 2, 3: 1}), (0,), 3) == (8 / 3, 0.0, None)
+        # W > 0 with classes to spare: q is v/w
+        assert stats(five, (2,), 5) == (1 / 3, 9.8, 5 / 147)
 
 
 class TestForegroundOf:
