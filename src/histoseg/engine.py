@@ -12,11 +12,11 @@ wins ties) and keeps each class's exact count and gray sum as Python
 ints; nothing is shifted as classes go.  Each merge stores only the cut
 it removed and its d_sq.  The unbiased within-class and between-class
 variance estimates v and w, and q = v/w, follow from the d_sq by O(1)
-updates per merge, in one generator, _variances(), run only when read:
-by MergeTrace.records for every merge, by variances_at() up to one level.
-That is the paper's recursion, kept as library API and checked against
-naive sums; no command reads it, as metrics.level_stats gives a cut set's
-v, w and q exactly from the histogram's sums.
+updates per merge, in one generator, _variances(), run only when
+MergeTrace.records is read.  That is the paper's recursion, kept as
+library API and checked against naive sums; no command reads it, as
+metrics.level_stats gives a cut set's v, w and q exactly from the
+histogram's sums.
 The partitions for any class counts are read off
 its trace in one walk up it from the one-class partition, which puts one
 cut back per level, with every class sum from Histogram.running_sums.
@@ -30,10 +30,10 @@ the exact cost e^2/(na*nb*(na+nb)), e = nb*sa - na*sb, of the merge it
 undoes (a merge's d_sq is this cost as a float), and the rounded-mean
 error, which a split changes by three int terms.  So no level's classes
 are summed again.
-The run stores the K0-class start state once, as its between-class
-variance w0, and builds no per-level class objects; MergeTrace.initial
-derives those, and MergeTrace.ss_total the total scatter, from the
-histogram only when a caller asks.
+The run stores its cuts and costs and nothing else: MergeTrace.w0, the
+between-class variance of the K0-class start state, MergeTrace.initial,
+its classes, and MergeTrace.ss_total, the total scatter, are derived from
+the histogram only when a caller asks.
 """
 
 import json
@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -203,21 +203,32 @@ class MergeTrace:
     """Complete record of a merge run, from the initial classes down.
 
     boundary_gray and d_sq hold, per merge in order, the cut it removed
-    and its cost, the two values the merge loop decides.  w0 is the
-    between-class variance of the K0 initial classes (v is 0 there), or
-    None when K0 = 1; v and w roll on from it.  records, initial and
-    ss_total are not stored: each is derived on first use, records from
-    the two tuples and w0, the others from the histogram.
+    and its cost, the two values the merge loop decides.  w0, records,
+    initial and ss_total are not stored: each is derived on first use,
+    records from the two tuples and w0, the others from the histogram.
     """
 
     histogram: Histogram
     boundary_gray: tuple[int, ...]
     d_sq: tuple[float, ...]
-    w0: float | None
 
-    @property
-    def G(self) -> int:
-        return self.histogram.G
+    @cached_property
+    def w0(self) -> float | None:
+        """Between-class variance of the K0 initial classes, or None when K0 = 1.
+
+        The size-weighted scatter of the level means about the grand mean,
+        over K0 - 1.  v is 0 there, and _variances() rolls v and w on from it.
+        """
+        grays, counts = self.histogram.occupied, self.histogram.counts
+        if len(grays) == 1:
+            return None
+        cn, c1, _ = self.histogram.running_sums
+        gm = c1[-1] / cn[-1]
+        acc = 0.0
+        for g in grays:
+            diff = g - gm
+            acc += counts[g] * (diff * diff)
+        return acc / (len(grays) - 1)
 
     @cached_property
     def records(self) -> tuple[MergeRecord, ...]:
@@ -247,7 +258,7 @@ class MergeTrace:
         cn, c1, _ = self.histogram.running_sums
         counts = self.histogram.counts
         return {
-            "G": self.G,
+            "G": self.histogram.G,
             "N": cn[-1],
             "grand_mean": c1[-1] / cn[-1],
             "ss_total": self.ss_total,
@@ -323,9 +334,6 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     prv = list(range(-1, k0 - 1))  # live left neighbour of each class, -1 for none
     nxt = list(range(1, k0 + 1))  # live right neighbour of each class, k0 for none
 
-    n_pixels = sum(ns)
-    gm = sum(ss) / n_pixels
-
     # A single level's mean s/n is exactly its gray g.  Histogram's
     # MAX_PIXELS bound keeps every cost finite, so no live cost ties +inf.
     d2 = np.array(
@@ -333,15 +341,6 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
          for n1, g1, n2, g2 in zip(ns, grays, ns[1:], grays[1:])] + [math.inf],
         dtype=np.float64,
     )
-
-    # Size-weighted scatter of the level means about gm, over K0 - 1.
-    w0 = None
-    if k0 > 1:
-        acc = 0.0
-        for n, g in zip(ns, grays):
-            diff = g - gm
-            acc += n * (diff * diff)
-        w0 = acc / (k0 - 1)
     inf = math.inf
     # Slots go in and out as Python floats, never boxed as NumPy scalars.
     argmin, slot = d2.argmin, memoryview(d2)
@@ -367,15 +366,16 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             slot[l] = n1 * n2 / (n1 + n2) * (diff * diff)
         else:
             slot[l] = inf
-    return MergeTrace(histogram=h, boundary_gray=tuple(bounds), d_sq=tuple(costs), w0=w0)
+    return MergeTrace(histogram=h, boundary_gray=tuple(bounds), d_sq=tuple(costs))
 
 
 def _variances(trace: MergeTrace):
     """Yield (v, w, q) after each merge of the trace, in merge order.
 
-    The one home of the variance recursion: from v = 0 and w = w0, each
-    merge's d_sq is absorbed by the within estimate and shed by the
-    between estimate, both divisors following the class count k it leaves.
+    The one home of the variance recursion, read by MergeTrace.records
+    only: from v = 0 and w = trace.w0, each merge's d_sq is absorbed by
+    the within estimate and shed by the between estimate, both divisors
+    following the class count k it leaves.
     """
     n_pixels = trace.histogram.N
     v, w = 0.0, trace.w0
@@ -487,17 +487,3 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
         if m in wanted:
             yield splits, ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
             splits = []
-
-
-def variances_at(trace: MergeTrace, m: int) -> tuple[float, float | None, float | None]:
-    """(v, w, q) of the m-class partition; v = 0 and w = trace.w0 when m = K0.
-
-    Each call runs _variances() from the start state up to level m, which
-    is K0 - m steps and builds no records; code that reads many levels
-    should read trace.records, which runs the recursion once for all.
-    """
-    k0 = len(trace.boundary_gray) + 1
-    m = check_level(m, k0)
-    if m < k0:
-        return next(islice(_variances(trace), k0 - m - 1, None))
-    return 0.0, trace.w0, (0.0 if trace.w0 else None)

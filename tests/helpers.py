@@ -131,19 +131,21 @@ def left_indices(records) -> list[int]:
 def replay_thresholds(trace, levels):
     """Reference for thresholds_at_levels: re-apply every merge in turn.
 
-    Walks down from the initial classes once, merging the class whose top
-    gray is each record's boundary into its right neighbour, and takes
-    each requested partition as it passes.
+    Walks down once from one class per occupied gray level of the trace's
+    histogram, merging the class whose top gray is each merge's boundary
+    into its right neighbour, and takes each requested partition as it
+    passes.  It reads nothing else of the trace.
     """
     levels = list(levels)
-    ns = [c.n for c in trace.initial.classes]
-    sums = [c.gray_sum for c in trace.initial.classes]
-    ghis = [c.g_hi for c in trace.initial.classes]
+    h = trace.histogram
+    ghis = list(h.occupied)
+    ns = [h.counts[g] for g in ghis]
+    sums = [n * g for n, g in zip(ns, ghis)]
     found = {}
-    records = iter(trace.records)
+    bounds = iter(trace.boundary_gray)
     for m in sorted(set(levels), reverse=True):
         while len(ns) > m:
-            l = ghis.index(next(records).boundary_gray)
+            l = ghis.index(next(bounds))
             ns[l] += ns[l + 1]
             sums[l] += sums[l + 1]
             ghis[l] = ghis[l + 1]

@@ -276,9 +276,10 @@ def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
 
 
 def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
-    """K0, N, w0 and the top level come off the trace, at every level up to K0.
+    """K0 and the top level come off the trace, at every level up to K0.
 
-    No command reads the total scatter either, so none computes it.
+    No command reads the start state's w0 or the total scatter either, so
+    none computes them; the bench run is guarded too.
     """
     img = standard_image(size=64)
     k0 = len(histogram_of(img).occupied)
@@ -312,8 +313,12 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
     def no_ss_total(trace):
         raise AssertionError("total scatter computed")
 
+    def no_w0(trace):
+        raise AssertionError("start-state w0 computed")
+
     monkeypatch.setattr(histoseg.engine.MergeTrace, "initial", property(forbidden))
     monkeypatch.setattr(histoseg.engine.MergeTrace, "ss_total", property(no_ss_total))
+    monkeypatch.setattr(histoseg.engine.MergeTrace, "w0", property(no_w0))
     assert run_all("guarded") == before
     assert main(["bench", "--bins-list", "16,32", "--repeat", "1",
                  "--report", str(tmp_path / "bench.json")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from histoseg.engine import (
     Histogram,
     InvalidLevel,
     MergeRecord,
+    MergeTrace,
     ThresholdSet,
     histogram_from_csv,
     histogram_from_json,
@@ -21,7 +23,6 @@ from histoseg.engine import (
     threshold_set,
     thresholds_at,
     thresholds_at_levels,
-    variances_at,
 )
 from histoseg.metrics import psnr_at_levels
 from histoseg.oracle import naive_variances
@@ -97,14 +98,13 @@ class TestHistogram:
 
 
 class TestBuildInitial:
-    """The K0-class start state: trace.initial, w0 and variances_at(trace, K0)."""
+    """The K0-class start state, trace.initial and trace.w0, read off the histogram."""
 
     def test_three_bin_example(self):
         trace = run_dendrogram(EXAMPLE)
         assert trace.initial.K == 3
         assert trace.to_dict()["grand_mean"] == pytest.approx(2.2, rel=1e-12)
-        v0, w0, q0 = variances_at(trace, 3)
-        assert (v0, w0, q0) == (0.0, trace.w0, 0.0)
+        w0 = trace.w0
         assert w0 == pytest.approx(5.4, rel=1e-9)
         # cross-check against the independent naive recomputation
         identity = thresholds_at(trace, 3)
@@ -117,7 +117,6 @@ class TestBuildInitial:
         assert trace.initial.K == 1
         assert trace.to_dict()["grand_mean"] == 7.0
         assert trace.w0 is None
-        assert variances_at(trace, 1) == (0.0, None, None)
 
     def test_all_zero_raises(self):
         with pytest.raises(EmptyHistogram):
@@ -216,7 +215,7 @@ class TestRunDendrogram:
             trace = run_dendrogram(h)
             n = trace.initial.N
             k = trace.initial.K
-            w0 = variances_at(trace, k)[1] or 0.0
+            w0 = trace.w0 or 0.0
             lhs = (n - k) * 0.0 + (k - 1) * w0
             assert abs(lhs - trace.ss_total) <= 1e-9 * max(1.0, trace.ss_total)
             for rec in trace.records:
@@ -563,7 +562,6 @@ class TestClassCount:
         for call in (
             lambda: thresholds_at(trace, m),
             lambda: thresholds_at_levels(trace, [2, m]),
-            lambda: variances_at(trace, m),
         ):
             with pytest.raises(InvalidLevel, match="class count must be an integer"):
                 call()
@@ -574,7 +572,6 @@ class TestClassCount:
             for n in (np.int64(m), np.uint8(m), np.int32(m)):
                 assert thresholds_at(trace, n) == thresholds_at(trace, m)
                 assert thresholds_at_levels(trace, [n, m]) == thresholds_at_levels(trace, [m, m])
-                assert variances_at(trace, n) == variances_at(trace, m)
         with pytest.raises(InvalidLevel, match="only 3 occupied"):
             thresholds_at(trace, np.int64(4))
 
@@ -594,12 +591,10 @@ class TestReadOff:
             levels = list(range(1, trace.initial.K + 1))
             assert thresholds_at_levels(trace, levels) == replay_thresholds(trace, levels)
 
-    def test_variances_at_reads_the_record_that_left_m_classes(self):
+    def test_w0_is_the_start_state_the_records_roll_from(self):
         for h in read_off_cases():
             trace = run_dendrogram(h)
-            k0 = trace.initial.K
-            v0, w0, q0 = variances_at(trace, k0)
-            assert (v0, q0) == (0.0, 0.0 if w0 else None)
+            k0, w0 = trace.initial.K, trace.w0
             if k0 == 1:
                 assert w0 is None
             else:
@@ -610,19 +605,16 @@ class TestReadOff:
                 # ...and as the value the first merge's recurrence rolled on from
                 k, first = k0 - 1, trace.records[0]
                 assert first.w == k / (k - 1) * w0 - first.d_sq / (k - 1)
-            for rec in trace.records:
-                assert variances_at(trace, rec.K_after) == (rec.v, rec.w, rec.q)
-
-    def test_variances_at_invalid_level(self):
-        trace = run_dendrogram(EXAMPLE)
-        with pytest.raises(InvalidLevel):
-            variances_at(trace, 4)
-        with pytest.raises(InvalidLevel):
-            variances_at(trace, 0)
 
 
 class TestDerivedRecords:
-    """The merge loop stores each merge's cut and d_sq; records and v/w/q are derived."""
+    """The merge loop stores each merge's cut and d_sq; w0, records and v/w/q are derived."""
+
+    def test_the_trace_stores_only_the_merge_decisions(self):
+        names = [f.name for f in dataclasses.fields(MergeTrace)]
+        assert names == ["histogram", "boundary_gray", "d_sq"]
+        trace = run_dendrogram(EXAMPLE)
+        assert set(vars(trace)) == set(names)
 
     def test_readers_build_no_records(self):
         h = histogram_of(standard_image(128))
@@ -631,11 +623,10 @@ class TestDerivedRecords:
             lambda trace: thresholds_at_levels(trace, [2, 4, 9]),
             lambda trace: psnr_at_levels(trace, range(2, 26)),  # the walk carries errors
             lambda trace: psnr_at_levels(trace, [2, k0]),  # the carry, far up
-            lambda trace: variances_at(trace, 4),
         ):
             trace = run_dendrogram(h)
             read(trace)
-            assert "records" not in vars(trace)
+            assert "records" not in vars(trace) and "w0" not in vars(trace)
 
     @pytest.mark.parametrize("first", ["records", "to_json"])
     def test_records_are_built_once(self, first):
@@ -646,28 +637,6 @@ class TestDerivedRecords:
         assert trace.records is records
         trace.to_json()
         assert trace.records is records
-
-    @pytest.mark.parametrize("records_first", [False, True])
-    def test_variances_at_matches_records_at_every_level(self, records_first):
-        hists = [h for family in merge_order_families().values() for h in family]
-        hists += [
-            histogram_of(standard_image(size, seed))
-            for size in (64, 128, 256, 512)
-            for seed in (1, 7, 11)
-        ]
-        for h in hists:
-            trace = run_dendrogram(h)
-            k0 = len(trace.boundary_gray) + 1
-            records = trace.records if records_first else None
-            got = [repr(variances_at(trace, m)) for m in range(1, k0 + 1)]
-            if records is None:
-                assert "records" not in vars(trace)
-                records = trace.records
-            start = (0.0, trace.w0, 0.0 if trace.w0 else None)
-            # the record that left m classes, for m = 1 .. K0 - 1, then the start state
-            want = [repr((r.v, r.w, r.q)) for r in reversed(records)] + [repr(start)]
-            assert [r.K_after for r in reversed(records)] == list(range(1, k0))
-            assert got == want
 
 
 class TestTraceSerialization:

@@ -14,7 +14,6 @@ from histoseg.engine import (
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
-    variances_at,
 )
 from histoseg.metrics import (
     BinaryMask,
@@ -435,7 +434,7 @@ class TestLevelStats:
         """v, w and q equal float(Fraction) of the paper's estimators, bit for bit.
 
         At every level of each trace, beside histogram_psnr's pairs, and
-        within 1e-13 of the float recursion variances_at rolls.
+        within 1e-13 of the float recursion trace.records rolls.
         """
         hists = [h for family in merge_order_families().values() for h in family]
         hists += [histogram_of(standard_image(size, seed))
@@ -447,9 +446,13 @@ class TestLevelStats:
             tsets = thresholds_at_levels(trace, levels)
             stats = level_stats(h, tsets)
             assert [pairs for pairs, _ in stats] == histogram_psnr(h, tsets)
-            for m, t, (_, vwq) in zip(levels, tsets, stats):
+            w0 = trace.w0
+            # the record that left m classes, for m = 1 .. K0 - 1, then the start state
+            rolls = [(r.v, r.w, r.q) for r in reversed(trace.records)]
+            rolls.append((0.0, w0, 0.0 if w0 else None))
+            for t, (_, vwq), rolled_vwq in zip(tsets, stats, rolls, strict=True):
                 assert vwq == exact_variances(h, t)
-                for got, rolled in zip(vwq, variances_at(trace, m)):
+                for got, rolled in zip(vwq, rolled_vwq):
                     assert (got is None) == (rolled is None)
                     assert got is None or rel_err(got, rolled) <= 1e-13
                 checked += 1
