@@ -15,7 +15,6 @@ from .engine import (
 from .metrics import (
     DimensionMismatch,
     RangeMismatch,
-    histogram_psnr,
     level_stats,
     map_to_class_means,
     psnr,
@@ -35,7 +34,6 @@ __all__ = [
     "histogram_from_csv",
     "histogram_from_json",
     "histogram_of",
-    "histogram_psnr",
     "level_stats",
     "map_to_class_means",
     "psnr",

@@ -70,16 +70,8 @@ class Histogram:
     def __post_init__(self):
         if len(self.counts) == 0:
             raise ValueError("histogram needs at least one bin")
-        # Bools are ints to operator.index, so they are refused by type.
-        types = set(map(type, self.counts))
-        if bool in types:
-            raise ValueError("bin counts must be integers")
-        if types != {int}:
-            # NumPy integers become Python ints, whose sums cannot wrap.
-            try:
-                object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
-            except TypeError:
-                raise ValueError("bin counts must be integers") from None
+        if set(map(type, self.counts)) != {int}:
+            object.__setattr__(self, "counts", _as_ints(self.counts, "bin counts"))
         if min(self.counts) < 0:
             raise ValueError("bin counts must be non-negative")
         if sum(self.counts) > MAX_PIXELS:
@@ -110,6 +102,16 @@ class Histogram:
         c1 = (0, *accumulate(sums))
         c2 = (0, *accumulate(map(operator.mul, grays, sums)))
         return cn, c1, c2
+
+
+def _as_ints(values: tuple, what: str) -> tuple[int, ...]:
+    """values as Python ints, whose sums cannot wrap; ValueError naming `what` for a non-int."""
+    if bool in map(type, values):  # operator.index takes bools
+        raise ValueError(f"{what} must be integers")
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def histogram_from_json(text: str) -> Histogram:
@@ -233,9 +235,9 @@ class MergeTrace:
     @cached_property
     def records(self) -> tuple[MergeRecord, ...]:
         """One MergeRecord per merge, with v, w and q from _variances()."""
-        record, k0 = tuple.__new__, len(self.d_sq) + 1  # skips MergeRecord's __new__
+        k0 = len(self.d_sq) + 1
         rows = zip(range(1, k0), self.boundary_gray, self.d_sq, _variances(self))
-        return tuple([record(MergeRecord, (i, b, d, *vwq, k0 - i)) for i, b, d, vwq in rows])
+        return tuple([MergeRecord(i, b, d, *vwq, k0 - i) for i, b, d, vwq in rows])
 
     @cached_property
     def initial(self) -> ClassArray:
@@ -283,7 +285,9 @@ class ThresholdSet:
     """Interior cut points and per-class means for an M-class partition.
 
     A pixel with gray g belongs to class k when cuts[k-1] < g <= cuts[k];
-    `top` is the inclusive upper gray bound of the last class.
+    `top` is the inclusive upper gray bound of the last class.  Each bound
+    is an int: NumPy integers are stored as Python ints, and a bool or a
+    float raises ValueError.
     """
 
     cuts: tuple[int, ...]
@@ -294,6 +298,10 @@ class ThresholdSet:
         if len(self.means) != len(self.cuts) + 1:
             raise ValueError("need exactly one mean per class")
         bounds = self.cuts + (self.top,)
+        if set(map(type, bounds)) != {int}:
+            bounds = _as_ints(bounds, "gray bounds")
+            object.__setattr__(self, "cuts", bounds[:-1])
+            object.__setattr__(self, "top", bounds[-1])
         # A negative bound would index the histogram's running sums from the end.
         if bounds[0] < 0:
             raise ValueError("gray bounds must be non-negative")

@@ -207,7 +207,7 @@ def _rounded_sse(n: int, s1: int) -> int:
 
 
 def _psnr_pairs(n_total: int, num: int, den: int, sse_rounded: int):
-    """histogram_psnr's pairs of an _error_sums triple over N pixels.
+    """level_stats' (MSE, PSNR) pairs of an _error_sums triple over N pixels.
 
     True division of ints is correctly rounded, so num / (den * N) is the
     float of the reduced Fraction without its gcd.
@@ -215,24 +215,15 @@ def _psnr_pairs(n_total: int, num: int, den: int, sse_rounded: int):
     return _mse_psnr(num / (den * n_total)), _mse_psnr(sse_rounded / n_total)
 
 
-def histogram_psnr(
-    h: Histogram, tsets: Iterable[ThresholdSet]
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """(MSE, PSNR) of each cut set with real and with rounded class means.
+def level_stats(h: Histogram, tsets: Iterable[ThresholdSet]) -> list[tuple[tuple, tuple]]:
+    """(MSE, PSNR) of each cut set with real and with rounded class means, and its (v, w, q).
 
     For the image h was taken from and a set whose means are its class
-    means (as thresholds_at and exhaustive_otsu give), these are
+    means (as thresholds_at and exhaustive_otsu give), the pairs are
     psnr(img, map_to_class_means(img, t)) and psnr(img, quantize(img, t))
     without a pass over the pixels.  Each MSE is the exact error sum of
     cut_set_errors over N, rounded once, so the real-mean value can differ
-    from the pixel route's float sum in the last digit.  These are
-    level_stats' pairs without its v, w and q.
-    """
-    return [pairs for pairs, _ in level_stats(h, tsets)]
-
-
-def level_stats(h: Histogram, tsets: Iterable[ThresholdSet]) -> list[tuple[tuple, tuple]]:
-    """histogram_psnr()'s (MSE, PSNR) pairs of each cut set, each with its (v, w, q).
+    from the pixel route's float sum in the last digit.
 
     v = W/(N - M) and w = (T - W)/(M - 1) are the unbiased within- and
     between-class variance estimates, q = v/w, with W the within-class and
@@ -274,7 +265,7 @@ def _estimates(n: int, nt: int, m: int, num: int, den: int):
 def psnr_at_levels(
     trace: MergeTrace, levels: Iterable[int]
 ) -> list[tuple[ThresholdSet, tuple[tuple[float, float], tuple[float, float]]]]:
-    """thresholds_at_levels() for each of `levels`, each with its histogram_psnr() pairs.
+    """thresholds_at_levels() for each of `levels`, each with its level_stats() pairs.
 
     The errors follow the same walk up the trace that finds the cuts, one
     split per level, so no level's classes are summed again.  The walk
@@ -285,11 +276,11 @@ def psnr_at_levels(
     loop's d_sq is the float.  With rest = den // n0, num becomes
     (num*na*nb - e^2*rest) // n0 over rest*na*nb, an exact division, as
     W*den is an int at every level; sse_rounded changes by three
-    _rounded_sse terms.  So every pair is the float histogram_psnr gives.
+    _rounded_sse terms.  So every pair is the float level_stats gives.
 
     Every level list takes this one route, K0 - 1 steps at most.  On a
     sparse list far up the trace, as [K0], that costs up to about twice
-    what histogram_psnr's sums of the asked classes would.
+    what level_stats' sums of the asked classes would.
     """
     levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
     cn, c1, c2 = trace.histogram.running_sums

@@ -456,6 +456,21 @@ class TestThresholdSet:
         with pytest.raises(ValueError, match="gray bounds must be non-negative"):
             ThresholdSet(cuts=cuts, means=means, top=top)
 
+    @pytest.mark.parametrize(
+        "cuts, top",
+        [((2.5,), 5), ((2,), 5.0), ((True,), 5)],
+        ids=["float-cut", "float-top", "bool-cut"],
+    )
+    def test_rejects_a_bound_that_is_not_an_int(self, cuts, top):
+        # a float bound would fail deep inside level_stats or quantize; True would read as gray 1
+        with pytest.raises(ValueError, match="gray bounds must be integers"):
+            ThresholdSet(cuts=cuts, means=(1.0, 4.0), top=top)
+
+    def test_numpy_int_bounds_become_ints(self):
+        t = ThresholdSet(cuts=(np.int64(2), np.uint8(3)), means=(1.0, 2.5, 4.0), top=np.int32(5))
+        assert t == ThresholdSet(cuts=(2, 3), means=(1.0, 2.5, 4.0), top=5)
+        assert set(map(type, t.cuts + (t.top,))) == {int}
+
     def test_bounds_at_gray_zero_are_valid(self):
         assert ThresholdSet(cuts=(0,), means=(0.0, 2.0), top=3).M == 2
         assert ThresholdSet(cuts=(), means=(0.0,), top=0).M == 1

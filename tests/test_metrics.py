@@ -22,7 +22,6 @@ from histoseg.metrics import (
     RangeMismatch,
     cut_set_errors,
     foreground_of,
-    histogram_psnr,
     level_stats,
     map_to_class_means,
     misclassification_error,
@@ -326,18 +325,20 @@ class TestPsnr:
 
 
 class TestHistogramPsnr:
+    """level_stats' (MSE, PSNR) pairs, read off the histogram with no pixel pass."""
+
     def test_worked_example(self):
         h = hist_from({1: 2, 2: 2, 5: 1})
         t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
         assert cut_set_errors(h, [t]) == [(1, 2)]  # 1.5 rounds up to 2
-        [((mse, db), (mse_r, db_r))] = histogram_psnr(h, [t])
+        [(((mse, db), (mse_r, db_r)), _)] = level_stats(h, [t])
         assert (mse, mse_r) == (0.2, 0.4)
         assert db == 10 * math.log10(255**2 / 0.2)
         assert db_r == 10 * math.log10(255**2 / 0.4)
 
     def test_zero_error_is_infinite(self):
         h = hist_from({3: 4, 9: 2})
-        [((mse, db), (mse_r, db_r))] = histogram_psnr(
+        [(((mse, db), (mse_r, db_r)), _)] = level_stats(
             h, [ThresholdSet(cuts=(3,), means=(3.0, 9.0), top=9)])
         assert mse == mse_r == 0.0 and math.isinf(db) and math.isinf(db_r)
 
@@ -346,7 +347,7 @@ class TestHistogramPsnr:
         h = histogram_of(img)
         trace = run_dendrogram(h)
         tsets = [thresholds_at(trace, m) for m in range(2, 26)]
-        for t, (real, rounded) in zip(tsets, histogram_psnr(h, tsets)):
+        for t, ((real, rounded), _) in zip(tsets, level_stats(h, tsets)):
             pixel_real = psnr(img, map_to_class_means(img, t))
             assert rel_err(real[0], pixel_real[0]) <= 1e-12
             assert rel_err(real[1], pixel_real[1]) <= 1e-12
@@ -360,7 +361,7 @@ class TestHistogramPsnr:
             h = histogram_of(img)
             trace = run_dendrogram(h)
             tsets = [thresholds_at(trace, m) for m in range(2, trace.initial.K + 1)]
-            values = [real[1] for real, _ in histogram_psnr(h, tsets)]
+            values = [real[1] for (real, _), _ in level_stats(h, tsets)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_empty_class_contributes_nothing(self):
@@ -411,7 +412,7 @@ class TestHistogramPsnr:
                         scatter += Fraction(n * s2 - s1 * s1, n)
                         sse += s2 - 2 * r * s1 + r * r * n
                 assert pair == (scatter, sse)
-            for (scatter, _), (real, _) in zip(errors, histogram_psnr(h, tsets)):
+            for (scatter, _), ((real, _), _) in zip(errors, level_stats(h, tsets)):
                 mse = float(scatter / n_total)
                 assert real[0] == mse
                 db = 10 * math.log10(255**2 / mse) if mse else math.inf
@@ -422,19 +423,19 @@ class TestHistogramPsnr:
     def test_range_mismatch(self):
         h = hist_from({1: 1, 7: 1})
         with pytest.raises(RangeMismatch):
-            histogram_psnr(h, [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
+            level_stats(h, [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
 
     def test_empty_histogram(self):
         with pytest.raises(EmptyHistogram):
-            histogram_psnr(hist_from({}), [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
+            level_stats(hist_from({}), [ThresholdSet(cuts=(2,), means=(1.0, 5.0), top=5)])
 
 
 class TestLevelStats:
     def test_variances_are_the_correctly_rounded_definitions(self):
         """v, w and q equal float(Fraction) of the paper's estimators, bit for bit.
 
-        At every level of each trace, beside histogram_psnr's pairs, and
-        within 1e-13 of the float recursion trace.records rolls.
+        At every level of each trace, and within 1e-13 of the float
+        recursion trace.records rolls.
         """
         hists = [h for family in merge_order_families().values() for h in family]
         hists += [histogram_of(standard_image(size, seed))
@@ -445,7 +446,6 @@ class TestLevelStats:
             levels = range(1, len(trace.boundary_gray) + 2)
             tsets = thresholds_at_levels(trace, levels)
             stats = level_stats(h, tsets)
-            assert [pairs for pairs, _ in stats] == histogram_psnr(h, tsets)
             w0 = trace.w0
             # the record that left m classes, for m = 1 .. K0 - 1, then the start state
             rolls = [(r.v, r.w, r.q) for r in reversed(trace.records)]
@@ -508,8 +508,8 @@ class TestPsnrAtLevels:
         assert (mse, mse_r) == (0.2, 0.4)
         assert (db, db_r) == (10 * math.log10(255**2 / 0.2), 10 * math.log10(255**2 / 0.4))
 
-    def test_matches_histogram_psnr_at_every_level(self):
-        """Cut sets and (MSE, PSNR) pairs equal histogram_psnr's exactly, levels 1..K0.
+    def test_matches_level_stats_at_every_level(self):
+        """Cut sets and (MSE, PSNR) pairs equal level_stats' exactly, levels 1..K0.
 
         The carry is checked on every level, and on a few far apart.
         """
@@ -536,7 +536,8 @@ class TestPsnrAtLevels:
             sparse = rng.sample(range(1, k0 + 1), min(k0, rng.randint(1, 4))) + [k0]
             for levels in (dense, sparse):
                 tsets = thresholds_at_levels(trace, levels)
-                assert psnr_at_levels(trace, levels) == list(zip(tsets, histogram_psnr(h, tsets)))
+                pairs = [pairs for pairs, _ in level_stats(h, tsets)]
+                assert psnr_at_levels(trace, levels) == list(zip(tsets, pairs))
             checked += k0
         assert checked >= 10_000
 

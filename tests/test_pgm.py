@@ -7,6 +7,7 @@ import pytest
 
 from histoseg.metrics import GrayImage
 from histoseg.pgm import (
+    _HIST_SLICE,
     _PAIR_MIN,
     MalformedHeader,
     MalformedPayload,
@@ -412,7 +413,9 @@ class TestHistogramOf:
 
     def test_counts_span_several_slices(self):
         rng = np.random.default_rng(109)
-        img = GrayImage(pixels=rng.integers(0, 256, size=(331, 1001), dtype=np.uint8))
+        # four bincount slices, the last partial, below the pair path's switch
+        img = GrayImage(pixels=rng.integers(0, 256, size=(331, 701), dtype=np.uint8))
+        assert 3 * _HIST_SLICE < img.pixels.size < _PAIR_MIN
         want = np.bincount(img.pixels.ravel().astype(np.int64), minlength=256)
         assert histogram_of(img).counts == tuple(want.tolist())
 

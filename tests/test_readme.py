@@ -9,7 +9,7 @@ from pathlib import Path
 import histoseg
 from histoseg.cli import _PARSER
 from histoseg.engine import run_dendrogram, thresholds_at
-from histoseg.metrics import histogram_psnr
+from histoseg.metrics import level_stats
 from histoseg.oracle import exhaustive_otsu
 from histoseg.pgm import histogram_of, write_pgm
 
@@ -58,5 +58,5 @@ def test_greedy_minus_optimal_gap_table():
     trace = run_dendrogram(h)
     for m, listed in table.items():
         tsets = [thresholds_at(trace, m), exhaustive_otsu(h, m)]
-        [((_, greedy_db), _), ((_, optimal_db), _)] = histogram_psnr(h, tsets)
+        [(((_, greedy_db), _), _), (((_, optimal_db), _), _)] = level_stats(h, tsets)
         assert f"{optimal_db - greedy_db:.2f}" == listed, m
