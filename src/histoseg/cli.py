@@ -96,10 +96,10 @@ def _cmd_threshold(args) -> dict:
     if args.out:
         quantized = quantize(img, tset)
         # Nothing below reads the input image, so its bytes are freed
-        # before write_pgm makes the output file's bytes.
+        # before write_pgm writes the quantized raster's own buffer.
         del img
         with open(args.out, "wb") as fh:
-            fh.write(write_pgm(quantized))
+            write_pgm(quantized, fh)
     quantize_s = time.perf_counter() - t0
 
     foreground_area = None

@@ -68,10 +68,13 @@ class Histogram:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) == 0:
+        # Any sequence is stored as a tuple, so every histogram hashes.
+        counts = tuple(self.counts)
+        if len(counts) == 0:
             raise ValueError("histogram needs at least one bin")
-        if set(map(type, self.counts)) != {int}:
-            object.__setattr__(self, "counts", _as_ints(self.counts, "bin counts"))
+        if set(map(type, counts)) != {int}:
+            counts = _as_ints(counts, "bin counts")
+        object.__setattr__(self, "counts", counts)
         if min(self.counts) < 0:
             raise ValueError("bin counts must be non-negative")
         if sum(self.counts) > MAX_PIXELS:
@@ -122,7 +125,7 @@ def histogram_from_json(text: str) -> Histogram:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, list):  # Histogram refuses non-integer counts
         raise ValueError("expected a JSON array of integers")
-    return Histogram(tuple(data))
+    return Histogram(data)
 
 
 def histogram_from_csv(text: str) -> Histogram:
@@ -287,7 +290,8 @@ class ThresholdSet:
     A pixel with gray g belongs to class k when cuts[k-1] < g <= cuts[k];
     `top` is the inclusive upper gray bound of the last class.  Each bound
     is an int: NumPy integers are stored as Python ints, and a bool or a
-    float raises ValueError.
+    float raises ValueError.  Cuts and means may be given as any sequences,
+    such as NumPy arrays or lists; both are stored as tuples.
     """
 
     cuts: tuple[int, ...]
@@ -295,13 +299,18 @@ class ThresholdSet:
     top: int
 
     def __post_init__(self):
-        if len(self.means) != len(self.cuts) + 1:
+        # Any sequences are stored as tuples: a NumPy array's + would add
+        # elementwise below, and a list would not hash.
+        cuts, means = tuple(self.cuts), tuple(self.means)
+        if len(means) != len(cuts) + 1:
             raise ValueError("need exactly one mean per class")
-        bounds = self.cuts + (self.top,)
+        bounds = cuts + (self.top,)
         if set(map(type, bounds)) != {int}:
             bounds = _as_ints(bounds, "gray bounds")
-            object.__setattr__(self, "cuts", bounds[:-1])
+            cuts = bounds[:-1]
             object.__setattr__(self, "top", bounds[-1])
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "means", means)
         # A negative bound would index the histogram's running sums from the end.
         if bounds[0] < 0:
             raise ValueError("gray bounds must be non-negative")

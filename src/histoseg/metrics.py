@@ -77,7 +77,12 @@ def foreground_of(img: GrayImage, invert: bool = False) -> BinaryMask:
 
 
 def _check_range(img: GrayImage, t: ThresholdSet) -> None:
-    """Raise RangeMismatch when a pixel of img lies above t.top."""
+    """Raise RangeMismatch when a pixel of img lies above t.top.
+
+    No uint8 pixel exceeds 255, so a top of 255 or more needs no scan.
+    """
+    if t.top >= 255:
+        return
     top = int(img.pixels.max())
     if top > t.top:
         raise RangeMismatch(f"pixel value {top} exceeds threshold range top {t.top}")
@@ -116,11 +121,12 @@ def quantize(img: GrayImage, t: ThresholdSet) -> GrayImage:
     for a C-contiguous image, as read_pgm gives, the output is the only
     raster-sized buffer made; a non-contiguous view is first copied in
     row-major order.  Pixels above t.top raise RangeMismatch, naming the
-    largest; the raster is scanned for it before mapping.  Building the
-    pair table costs about 8 us whatever the image, so below 256^2 pixels
-    this is slower than a 256-entry table (a 64^2 image twice as slow);
-    from there on the halved lookups pay for it.  A mean that is NaN or
-    rounds outside [0, 255] raises ValueError.
+    largest; the raster is scanned for it before mapping, unless t.top is
+    255 or more, which no pixel can exceed.  Building the pair table costs
+    about 8 us whatever the image, so below 256^2 pixels this is slower
+    than a 256-entry table (a 64^2 image twice as slow); from there on the
+    halved lookups pay for it.  A mean that is NaN or rounds outside
+    [0, 255] raises ValueError.
     """
     table = _class_table(t, _rounded_means(t).astype(np.uint16))
     pair = (table[:, None] << 8 | table).ravel()

@@ -6,6 +6,7 @@ end of line; one pattern built from both, _LEXEME, tokenizes the header.
 
 import re
 from collections.abc import Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -17,11 +18,16 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 _LEXEME = re.compile(_COMMENT.pattern + rb"|[^" + re.escape(_WS) + rb"#]+")
 _HIST_SLICE = 1 << 16
 # Rasters of at least this many pixels are counted two bytes at a time.  The
-# pair path counts half as many elements but zeroes and folds a 512 KiB
-# table, its one temporary; on a 2-vCPU x86-64 host it is 17-30% slower at
-# 2**16 pixels and 13-24% faster at 2**18, on uniform noise and on a smooth
-# test image.
+# pair path counts half as many elements but zeroes and folds a 256 KiB
+# int32 table, its one temporary; on a 2-vCPU x86-64 host it is 0-9%
+# slower at 2**16 pixels and 12-18% faster at 2**17 and 2**18, on uniform
+# noise and on a smooth test image.
 _PAIR_MIN = 1 << 18
+# Pairs counted into one int32 table before it is folded into the int64
+# counts.  A bin, and a row or column of the table, holds at most every
+# pair of its chunk, so a chunk stays under 2**31 pairs; any raster under
+# 2**32 pixels is one chunk.
+_PAIR_CHUNK = (1 << 31) - 1
 
 
 class PgmError(ValueError):
@@ -161,18 +167,28 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(pixels=px.astype(np.uint8, copy=False))
 
 
-def write_pgm(img: GrayImage, fmt: str = "P5") -> bytes:
-    """Encode as 8-bit PGM; round-trips through read_pgm bit-exactly."""
+def write_pgm(img: GrayImage, fh: BinaryIO, fmt: str = "P5") -> bytes | memoryview:
+    """Write img as 8-bit PGM into the open binary file fh.
+
+    The header is written first, then the payload, which is returned as a
+    flat bytes-like object whose len() is its byte count.  A P5 payload is
+    the raster's own buffer, with no copy of a C-contiguous image.  The
+    bytes round-trip through read_pgm bit-exactly.
+    """
     if fmt not in ("P5", "P2"):
         raise ValueError(f"format must be 'P5' or 'P2', got {fmt!r}")
     header = f"{fmt}\n{img.width} {img.height}\n255\n".encode("ascii")
     if fmt == "P5":
-        # One copy of the raster; header + tobytes() would make two.
-        return b"".join((header, np.ascontiguousarray(img.pixels).data))
-    # keep lines under the customary 70-character limit
-    flat = [str(v) for v in img.pixels.ravel().tolist()]
-    lines = [" ".join(flat[i : i + 17]) for i in range(0, len(flat), 17)]
-    return header + "\n".join(lines).encode("ascii") + b"\n"
+        # A 1-D view: a 2-D memoryview's len() would be its row count.
+        payload = np.ascontiguousarray(img.pixels).reshape(-1).data
+    else:
+        # keep lines under the customary 70-character limit
+        flat = [str(v) for v in img.pixels.ravel().tolist()]
+        lines = [" ".join(flat[i : i + 17]) for i in range(0, len(flat), 17)]
+        payload = "\n".join(lines).encode("ascii") + b"\n"
+    fh.write(header)
+    fh.write(payload)
+    return payload
 
 
 def histogram_of(img: GrayImage) -> Histogram:
@@ -180,20 +196,25 @@ def histogram_of(img: GrayImage) -> Histogram:
     # bincount widens its input to int64 and counts each element with a
     # dependent increment; slicing bounds the widened temporary.  A large
     # raster is counted as uint16 pairs, half as many elements, by np.add.at,
-    # which does not widen them, into a 65536-bin table, then folded: a
+    # which does not widen them, into a 65536-bin int32 table, then folded: a
     # pair's two bytes are its row and column, in either byte order, so
-    # summing both axes counts every byte once.
+    # summing both axes counts every byte once.  The increment is an int32
+    # too: one of another dtype takes np.add.at off its fast path.
     flat = img.pixels.ravel()
+    counts = np.zeros(256, dtype=np.int64)
     if flat.size < _PAIR_MIN:
-        counts = np.zeros(256, dtype=np.int64)
         for i in range(0, flat.size, _HIST_SLICE):
             counts += np.bincount(flat[i : i + _HIST_SLICE], minlength=256)
     else:
         even = flat.size & ~1
-        table = np.zeros(1 << 16, dtype=np.int64)
-        np.add.at(table, flat[:even].view(np.uint16), 1)
-        table = table.reshape(256, 256)
-        counts = table.sum(0) + table.sum(1)
+        pairs = flat[:even].view(np.uint16)
+        for i in range(0, pairs.size, _PAIR_CHUNK):
+            table = np.zeros((256, 256), dtype=np.int32)
+            np.add.at(table.reshape(-1), pairs[i : i + _PAIR_CHUNK], np.int32(1))
+            # A row or column sums at most the chunk's pairs, so int32 holds
+            # it; summing into int64 would cast every bin, at twice the time.
+            counts += table.sum(0, dtype=np.int32)
+            counts += table.sum(1, dtype=np.int32)
         if even < flat.size:
             counts[flat[-1]] += 1
-    return Histogram(tuple(counts.tolist()))
+    return Histogram(counts.tolist())

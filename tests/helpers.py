@@ -1,5 +1,6 @@
 """Shared generators and assertion helpers for the test suite."""
 
+import io
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 
 from histoseg.engine import Histogram, ThresholdSet
 from histoseg.metrics import GrayImage
+from histoseg.pgm import write_pgm
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -41,6 +43,13 @@ def hist_from(bins: dict, g: int = 256) -> Histogram:
     for gray, count in bins.items():
         counts[gray] = count
     return Histogram(tuple(counts))
+
+
+def pgm_bytes(img: GrayImage, fmt: str = "P5") -> bytes:
+    """The PGM file write_pgm writes for img, as bytes."""
+    fh = io.BytesIO()
+    write_pgm(img, fh, fmt)
+    return fh.getvalue()
 
 
 def small_image(rng: np.random.Generator, side: int = 12, min_distinct: int = 4,

@@ -19,9 +19,16 @@ from histoseg.metrics import (
     psnr,
     relative_area_error,
 )
-from histoseg.pgm import histogram_of, write_pgm
+from histoseg.pgm import histogram_of
 
-from helpers import dense_histogram, hist_from, small_image, sparse_histogram, standard_image
+from helpers import (
+    dense_histogram,
+    hist_from,
+    pgm_bytes,
+    small_image,
+    sparse_histogram,
+    standard_image,
+)
 
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 
@@ -166,7 +173,7 @@ def test_c7_sweep_spans(tmp_path):
     """2->25 level sweep on a 512x512 stand-in image spans ~20 dB to ~41 dB."""
     img = standard_image()
     path = tmp_path / "standard.pgm"
-    path.write_bytes(write_pgm(img))
+    path.write_bytes(pgm_bytes(img))
     report_path = tmp_path / "sweep.json"
     code = main(["sweep", str(path), "--levels-list", "2,3,5,10,25",
                  "--report", str(report_path)])
@@ -220,10 +227,10 @@ def _canonical(path) -> bytes:
 def test_c9_cli_determinism(tmp_path):
     """Every command emits byte-identical JSON (timings aside) and images."""
     src = tmp_path / "src.pgm"
-    src.write_bytes(write_pgm(small_image(np.random.default_rng(20250815), side=16,
+    src.write_bytes(pgm_bytes(small_image(np.random.default_rng(20250815), side=16,
                                           min_distinct=8, max_distinct=16)))
     ref = tmp_path / "ref.pgm"
-    ref.write_bytes(write_pgm(small_image(np.random.default_rng(20250816), side=16,
+    ref.write_bytes(pgm_bytes(small_image(np.random.default_rng(20250816), side=16,
                                           min_distinct=2, max_distinct=4)))
     commands = {
         "threshold": lambda tag: ["threshold", str(src), "--levels", "3",

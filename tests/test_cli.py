@@ -15,14 +15,14 @@ from histoseg.cli import main
 from histoseg.engine import ThresholdSet, run_dendrogram, thresholds_at
 from histoseg.metrics import GrayImage, quantize
 from histoseg.oracle import naive_variances
-from histoseg.pgm import histogram_of, read_pgm, write_pgm
+from histoseg.pgm import histogram_of, read_pgm
 
-from helpers import exact_variances, rel_err, small_image, standard_image
+from helpers import exact_variances, pgm_bytes, rel_err, small_image, standard_image
 
 
 def save_pgm(path, rows):
     img = GrayImage(pixels=np.array(rows, dtype=np.int64))
-    path.write_bytes(write_pgm(img))
+    path.write_bytes(pgm_bytes(img))
     return str(path)
 
 
@@ -71,7 +71,7 @@ class TestThreshold:
         for i in range(3):
             img = small_image(rng)
             path = tmp_path / f"img{i}.pgm"
-            path.write_bytes(write_pgm(img))
+            path.write_bytes(pgm_bytes(img))
             h = histogram_of(img)
             trace = run_dendrogram(h)
             report = tmp_path / "report.json"
@@ -89,7 +89,7 @@ class TestThreshold:
         """At every level, v, w and q are float(Fraction) of the estimators, bit for bit."""
         img = standard_image(size)
         path = tmp_path / "img.pgm"
-        path.write_bytes(write_pgm(img))
+        path.write_bytes(pgm_bytes(img))
         h = histogram_of(img)
         trace = run_dendrogram(h)
         report = tmp_path / "report.json"
@@ -158,7 +158,7 @@ class TestThreshold:
     def test_foreground_area_matches_pixel_count(self, tmp_path):
         img = standard_image(size=64, seed=3)
         path = tmp_path / "img.pgm"
-        path.write_bytes(write_pgm(img))
+        path.write_bytes(pgm_bytes(img))
         report = tmp_path / "r.json"
         for polarity in ("above", "below"):
             assert main(["threshold", str(path), "--levels", "2", "--polarity", polarity,
@@ -172,22 +172,22 @@ class TestThreshold:
         # 256 x 257 pixels is more than one of quantize's 64 Ki-pixel slices
         rng = np.random.default_rng(67)
         src = tmp_path / "img.pgm"
-        src.write_bytes(write_pgm(GrayImage(pixels=rng.integers(0, 256, size=(256, 257)))))
+        src.write_bytes(pgm_bytes(GrayImage(pixels=rng.integers(0, 256, size=(256, 257)))))
         before = src.read_bytes()
         out = tmp_path / "q.pgm"
         assert main(["threshold", str(src), "--levels", "4", "--out", str(out),
                      "--report", str(tmp_path / "r.json")]) == 0
         img = read_pgm(before)
         tset = thresholds_at(run_dendrogram(histogram_of(img)), 4)
-        assert out.read_bytes() == write_pgm(quantize(img, tset))
+        assert out.read_bytes() == pgm_bytes(quantize(img, tset))
         assert src.read_bytes() == before
 
     @pytest.mark.parametrize("size", [1024, 2048])  # both take histogram_of's pair path
     def test_out_keeps_at_most_two_rasters_alive(self, tmp_path, size):
         # The input file's bytes and the quantized output; the input is freed
-        # before write_pgm makes the output file's bytes.
+        # before write_pgm writes the output's own buffer, with no copy.
         src = tmp_path / "img.pgm"
-        src.write_bytes(write_pgm(standard_image(size)))
+        src.write_bytes(pgm_bytes(standard_image(size)))
         argv = ["threshold", str(src), "--levels", "4", "--out", str(tmp_path / "q.pgm"),
                 "--report", str(tmp_path / "r.json")]
         tracemalloc.start()
@@ -202,7 +202,7 @@ class TestThreshold:
 def test_threshold_out_at_2048_is_byte_identical_to_pinned_digests(tmp_path, monkeypatch):
     """The --out image and the report, less timings, of one pair-path-sized op."""
     monkeypatch.chdir(tmp_path)  # so the report's input path is "img.pgm"
-    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(2048, 7)))
+    (tmp_path / "img.pgm").write_bytes(pgm_bytes(standard_image(2048, 7)))
     assert main(["threshold", "img.pgm", "--levels", "4", "--out", "q.pgm",
                  "--report", "r.json"]) == 0
     report = json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n"
@@ -219,7 +219,7 @@ def test_threshold_on_p2_tiles_is_byte_identical_to_pinned_digest(tmp_path, monk
     monkeypatch.chdir(tmp_path)  # so each report's input path is "img.pgm"
     digest = hashlib.sha256()
     for seed in range(7, 23):
-        (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(128, seed), "P2"))
+        (tmp_path / "img.pgm").write_bytes(pgm_bytes(standard_image(128, seed), "P2"))
         assert main(["threshold", "img.pgm", "--levels", "4", "--report", "r.json"]) == 0
         digest.update((json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n").encode())
     assert digest.hexdigest() == (
@@ -230,7 +230,7 @@ def test_threshold_on_p2_tiles_is_byte_identical_to_pinned_digest(tmp_path, monk
 def test_sweep_is_byte_identical_to_pinned_digest(tmp_path, monkeypatch):
     """The report, less timings, of one 256^2 sweep over levels 2..25."""
     monkeypatch.chdir(tmp_path)  # so the report's input path is "img.pgm"
-    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(256, 7)))
+    (tmp_path / "img.pgm").write_bytes(pgm_bytes(standard_image(256, 7)))
     levels = ",".join(map(str, range(2, 26)))
     assert main(["sweep", "img.pgm", "--levels-list", levels, "--report", "r.json"]) == 0
     report = json.dumps(_without_timings(tmp_path / "r.json"), indent=2) + "\n"
@@ -248,7 +248,7 @@ def _without_timings(path):
 def test_threshold_and_sweep_make_no_pixel_error_pass(tmp_path, monkeypatch):
     """Reports come from the histogram; the pixel-domain metrics are never called."""
     src = tmp_path / "img.pgm"
-    src.write_bytes(write_pgm(standard_image(size=64, seed=5)))
+    src.write_bytes(pgm_bytes(standard_image(size=64, seed=5)))
     commands = {
         "threshold": ["threshold", str(src), "--levels", "4"],
         "threshold-out": ["threshold", str(src), "--levels", "4",
@@ -284,7 +284,7 @@ def test_commands_build_no_per_level_records(tmp_path, monkeypatch):
     img = standard_image(size=64)
     k0 = len(histogram_of(img).occupied)
     src = tmp_path / "img.pgm"
-    src.write_bytes(write_pgm(img))
+    src.write_bytes(pgm_bytes(img))
     commands = {
         "threshold": ["threshold", str(src), "--levels", "4"],
         "threshold-k0": ["threshold", str(src), "--levels", str(k0)],
@@ -329,7 +329,7 @@ def test_commands_build_no_merge_records(tmp_path, monkeypatch):
     img = standard_image(size=64)
     k0 = len(histogram_of(img).occupied)
     src = tmp_path / "img.pgm"
-    src.write_bytes(write_pgm(img))
+    src.write_bytes(pgm_bytes(img))
 
     def forbidden(trace):
         raise AssertionError("merge records built")
@@ -355,7 +355,7 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, command):
     would depend on when those run.
     """
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "img.pgm").write_bytes(write_pgm(standard_image(size=64)))
+    (tmp_path / "img.pgm").write_bytes(pgm_bytes(standard_image(size=64)))
     argv = {
         "threshold": ["threshold", "img.pgm", "--levels", "4", "--out", "q.pgm"],
         "sweep": ["sweep", "img.pgm", "--levels-list", "2,3,5,10,25"],

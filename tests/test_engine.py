@@ -72,6 +72,15 @@ class TestHistogram:
         assert all(type(c) is int for c in h.counts)
 
     @pytest.mark.parametrize(
+        "counts", [[1, 2, 3], np.array([1, 2, 3]), (1, 2, 3)], ids=["list", "array", "tuple"]
+    )
+    def test_counts_are_stored_as_a_tuple(self, counts):
+        # a list of counts once left the histogram unhashable
+        h = Histogram(counts)
+        assert h == Histogram((1, 2, 3)) and type(h.counts) is tuple
+        assert hash(h) == hash(Histogram((1, 2, 3)))
+
+    @pytest.mark.parametrize(
         "counts", [(1.5, 2.0, 3.0), (2.0, 1), (np.float64(2.0), 1), (True, 2), (np.True_, 2)]
     )
     def test_rejects_non_integer_counts(self, counts):
@@ -470,6 +479,25 @@ class TestThresholdSet:
         t = ThresholdSet(cuts=(np.int64(2), np.uint8(3)), means=(1.0, 2.5, 4.0), top=np.int32(5))
         assert t == ThresholdSet(cuts=(2, 3), means=(1.0, 2.5, 4.0), top=5)
         assert set(map(type, t.cuts + (t.top,))) == {int}
+
+    @pytest.mark.parametrize(
+        "cuts, means",
+        [
+            (np.array([2]), np.array([1.0, 4.0])),
+            ([2], [1.0, 4.0]),
+            ((2,), [1.0, 4.0]),
+            ((2,), (1.0, 4.0)),
+        ],
+        ids=["arrays", "lists", "list-means", "tuples"],
+    )
+    def test_sequences_are_stored_as_tuples(self, cuts, means):
+        # An array's cuts once added elementwise to (top,), giving cuts=()
+        # and top=7; a list of cuts raised TypeError and a list of means
+        # left the set unhashable.
+        t = ThresholdSet(cuts=cuts, means=means, top=5)
+        assert t == ThresholdSet(cuts=(2,), means=(1.0, 4.0), top=5)
+        assert type(t.cuts) is tuple and type(t.means) is tuple
+        assert hash(t) == hash(ThresholdSet(cuts=(2,), means=(1.0, 4.0), top=5))
 
     def test_bounds_at_gray_zero_are_valid(self):
         assert ThresholdSet(cuts=(0,), means=(0.0, 2.0), top=3).M == 2

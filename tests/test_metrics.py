@@ -2,10 +2,12 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import histoseg.metrics
 from histoseg.engine import (
     MAX_PIXELS,
     EmptyHistogram,
@@ -117,6 +119,34 @@ class TestQuantize:
         t = ThresholdSet(cuts=(2,), means=(1.5, 5.0), top=5)
         with pytest.raises(RangeMismatch, match=r"^pixel value 9 exceeds threshold range top 5$"):
             quantize(img, t)
+
+    @pytest.mark.parametrize("top, scans", [(254, 1), (255, 0)])
+    @pytest.mark.parametrize("mapper", [quantize, map_to_class_means])
+    def test_range_scan_only_below_top_255(self, monkeypatch, mapper, top, scans):
+        # No uint8 pixel exceeds 255, so a top of 255 needs no scan of the raster.
+        counted = []
+        real = histoseg.metrics._check_range
+
+        class Pixels:  # the raster, counting its max() scans
+            def __init__(self, px):
+                self.px, self.scans = px, 0
+
+            def max(self):
+                self.scans += 1
+                return self.px.max()
+
+        def spy(img, t):
+            pixels = Pixels(img.pixels)
+            real(SimpleNamespace(pixels=pixels), t)
+            counted.append(pixels.scans)
+
+        monkeypatch.setattr(histoseg.metrics, "_check_range", spy)
+        px = np.random.default_rng(431).integers(0, top + 1, size=(63, 65), dtype=np.uint8)
+        t = ThresholdSet(cuts=(99, 200), means=(49.5, 150.0, 227.5), top=top)
+        got = mapper(GrayImage(pixels=px), t)
+        assert counted == [scans]
+        if mapper is quantize:
+            assert got.pixels.tobytes() == rounded_means_reference(px, t)
 
     def test_idempotent_with_engine_thresholds(self):
         rng = np.random.default_rng(61)

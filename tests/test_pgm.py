@@ -1,10 +1,13 @@
+import io
 import random
 import re
+import timeit
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import histoseg.pgm
 from histoseg.metrics import GrayImage
 from histoseg.pgm import (
     _HIST_SLICE,
@@ -19,7 +22,7 @@ from histoseg.pgm import (
     write_pgm,
 )
 
-from helpers import standard_image
+from helpers import pgm_bytes, standard_image
 
 P5_MINIMAL = b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 P2_MINIMAL = b"P2\n2 2\n255\n0 128\n128 255\n"
@@ -238,8 +241,8 @@ class TestReadPgm:
 
     def test_p2_of_a_standard_image_matches_its_p5(self):
         img = standard_image(128)
-        want = read_pgm(write_pgm(img, "P5")).pixels
-        got = read_pgm(write_pgm(img, "P2")).pixels
+        want = read_pgm(pgm_bytes(img, "P5")).pixels
+        got = read_pgm(pgm_bytes(img, "P2")).pixels
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_zero_padded_fields_past_int_digit_limit(self):
@@ -301,7 +304,7 @@ class TestReadPgmProperties:
         rng = random.Random(20261018)
         for _ in range(3000):
             img = random_image(rng)
-            encode = rng.choice([lambda: write_pgm(img, "P5"), lambda: write_pgm(img, "P2"),
+            encode = rng.choice([lambda: pgm_bytes(img, "P5"), lambda: pgm_bytes(img, "P2"),
                                  lambda: loose_p2(rng, img)])
             data = mutate(rng, encode())
             want, tokens = reference_header(data)
@@ -345,7 +348,7 @@ class TestReadPgmProperties:
         for _ in range(500):
             img = random_image(rng)
             data = loose_p2(rng, img)
-            want = read_pgm(write_pgm(img, "P5")).pixels
+            want = read_pgm(pgm_bytes(img, "P5")).pixels
             got = read_pgm(data).pixels
             assert got.dtype == want.dtype and np.array_equal(got, want), data
 
@@ -357,7 +360,7 @@ class TestWritePgm:
             for _ in range(10):
                 shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
                 img = GrayImage(pixels=rng.integers(0, 256, size=shape))
-                back = read_pgm(write_pgm(img, fmt))
+                back = read_pgm(pgm_bytes(img, fmt))
                 assert np.array_equal(back.pixels, img.pixels)
 
     def test_p5_non_contiguous_round_trip(self):
@@ -365,7 +368,7 @@ class TestWritePgm:
         for view in (px.T, px[:, ::-1], px[::2, 1::3]):
             img = GrayImage(pixels=view)
             assert not img.pixels.flags.c_contiguous
-            data = write_pgm(img)
+            data = pgm_bytes(img)
             header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
             assert data.startswith(header)
             assert len(data) == len(header) + img.width * img.height
@@ -373,21 +376,54 @@ class TestWritePgm:
 
     def test_minimal_single_pixel(self):
         img = GrayImage(pixels=np.zeros((1, 1), dtype=np.uint8))
-        data = write_pgm(img)
+        data = pgm_bytes(img)
         assert data.startswith(b"P5\n1 1\n255\n")
         assert np.array_equal(read_pgm(data).pixels, img.pixels)
 
     def test_two_level_image_has_two_sample_values(self):
         rng = np.random.default_rng(103)
         px = np.where(rng.random((6, 6)) < 0.5, 10, 200)
-        data = write_pgm(GrayImage(pixels=px))
+        data = pgm_bytes(GrayImage(pixels=px))
         back = read_pgm(data)
         assert len(np.unique(back.pixels)) <= 2
 
     def test_rejects_unknown_format(self):
         img = GrayImage(pixels=np.zeros((1, 1), dtype=np.uint8))
+        fh = io.BytesIO()
         with pytest.raises(ValueError):
-            write_pgm(img, "P4")
+            write_pgm(img, fh, "P4")
+        assert fh.getvalue() == b""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_p5_writes_header_then_the_raster_buffer(self, contiguous):
+        px = np.random.default_rng(109).integers(0, 256, size=(48, 64), dtype=np.uint8)
+        img = GrayImage(pixels=px if contiguous else px.T)
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(data)
+                return len(data)
+
+        fh = Recorder()
+        payload = write_pgm(img, fh)
+        header, raster = fh.writes
+        assert header == f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+        assert raster is payload
+        # len() is the byte count, as traced runs add it to pgm.bytes_written.
+        assert len(payload) == img.pixels.size == 48 * 64
+        assert bytes(payload) == img.pixels.tobytes()
+        # No copy of a C-contiguous raster is made.
+        assert np.shares_memory(payload, img.pixels) == contiguous
+
+    def test_p2_returns_its_payload(self):
+        img = standard_image(64)
+        fh = io.BytesIO()
+        payload = write_pgm(img, fh, "P2")
+        header = b"P2\n64 64\n255\n"
+        assert fh.getvalue() == header + payload
 
 
 class TestHistogramOf:
@@ -470,7 +506,7 @@ class TestHistogramOfPairPath:
 
     @pytest.mark.parametrize("kind", ["uniform", "two-level"])
     def test_peak_memory_at_2048(self, kind):
-        # The pairs are counted into the 512 KiB table without a widened copy.
+        # The pairs are counted into the 256 KiB int32 table without a widened copy.
         rng = np.random.default_rng(229)
         if kind == "uniform":
             px = rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8)
@@ -482,5 +518,26 @@ class TestHistogramOfPairPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1 << 20
+        assert peak <= 1 << 19
         assert h.counts == tuple(np.bincount(px.ravel(), minlength=256).tolist())
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    def test_counts_past_the_int32_chunk_bound(self, monkeypatch, chunk):
+        # The one occupied bin takes more pairs than a chunk holds, so its
+        # count is exact only if each chunk is folded into the int64 counts.
+        monkeypatch.setattr(histoseg.pgm, "_PAIR_CHUNK", chunk)
+        img = GrayImage(pixels=np.full((1449, 1449), 77, dtype=np.uint8))
+        assert (img.pixels.size // 2) > chunk and (img.pixels.size // 2) % chunk
+        h = histogram_of(img)
+        assert h.counts[77] == 1449 * 1449 and h.N == 1449 * 1449
+
+    def test_pair_count_stays_on_the_add_at_fast_path(self):
+        # np.add.at leaves its fast path when the increment's dtype differs
+        # from the table's, and then runs over 30 times slower; the pair path
+        # must stay within twice the time of one bincount of the raster.
+        rng = np.random.default_rng(233)
+        img = GrayImage(pixels=rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+        flat = img.pixels.ravel()
+        pair_s = min(timeit.repeat(lambda: histogram_of(img), number=1, repeat=5))
+        bincount_s = min(timeit.repeat(lambda: np.bincount(flat, minlength=256), number=1, repeat=5))
+        assert pair_s <= 2 * bincount_s, (pair_s, bincount_s)

@@ -11,9 +11,9 @@ from histoseg.cli import _PARSER
 from histoseg.engine import run_dendrogram, thresholds_at
 from histoseg.metrics import level_stats
 from histoseg.oracle import exhaustive_otsu
-from histoseg.pgm import histogram_of, write_pgm
+from histoseg.pgm import histogram_of
 
-from helpers import standard_image
+from helpers import pgm_bytes, standard_image
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -29,7 +29,7 @@ def test_command_line_examples_parse():
 
 
 def test_library_example_runs(tmp_path, monkeypatch):
-    (tmp_path / "photo.pgm").write_bytes(write_pgm(standard_image()))
+    (tmp_path / "photo.pgm").write_bytes(pgm_bytes(standard_image()))
     [code] = re.findall(r"## Library\n\n```python\n(.*?)```", README, re.S)
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
