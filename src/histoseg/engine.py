@@ -33,7 +33,9 @@ are summed again.
 The run stores its cuts and costs and nothing else: MergeTrace.w0, the
 between-class variance of the K0-class start state, MergeTrace.initial,
 its classes, and MergeTrace.ss_total, the total scatter, are derived from
-the histogram only when a caller asks.
+the histogram only when a caller asks.  w0 and ss_total are each one int
+division of Histogram.nt, the exact N*T that metrics.level_stats and
+psnr_at_levels also read, so both are correctly rounded.
 """
 
 import json
@@ -106,6 +108,12 @@ class Histogram:
         c2 = (0, *accumulate(map(operator.mul, grays, sums)))
         return cn, c1, c2
 
+    @cached_property
+    def nt(self) -> int:
+        """N*T = N*S2 - S1^2, exact: N times the total sum of squares T about the grand mean."""
+        cn, c1, c2 = self.running_sums
+        return cn[-1] * c2[-1] - c1[-1] * c1[-1]
+
 
 def _as_ints(values: tuple, what: str) -> tuple[int, ...]:
     """values as Python ints, whose sums cannot wrap; ValueError naming `what` for a non-int."""
@@ -144,17 +152,17 @@ def histogram_from_csv(text: str) -> Histogram:
             first_data_line = False
             continue
         first_data_line = False
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {ln}: expected 'gray,count'")
+        fields = [part.strip() for part in line.split(",")]
+        # ASCII digits only: int() would also take a sign, '_' or another
+        # script's digits.  It still refuses a field past its digit limit.
         try:
-            g, c = int(parts[0]), int(parts[1])
+            if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+                raise ValueError
+            g, c = map(int, fields)
         except ValueError:
             raise ValueError(f"line {ln}: expected 'gray,count'") from None
-        if not 0 <= g <= 255:
+        if g > 255:
             raise ValueError(f"line {ln}: gray level {g} outside [0, 255]")
-        if c < 0:
-            raise ValueError(f"line {ln}: negative count")
         counts[g] += c
     return Histogram(tuple(counts))
 
@@ -221,19 +229,13 @@ class MergeTrace:
     def w0(self) -> float | None:
         """Between-class variance of the K0 initial classes, or None when K0 = 1.
 
-        The size-weighted scatter of the level means about the grand mean,
-        over K0 - 1.  v is 0 there, and _variances() rolls v and w on from it.
+        Each initial class is one gray level, so its scatter is all between
+        classes: w0 = T/(K0 - 1), one int division of the exact N*T, so it
+        is correctly rounded.  v is 0 there, and _variances() rolls v and w
+        on from it.
         """
-        grays, counts = self.histogram.occupied, self.histogram.counts
-        if len(grays) == 1:
-            return None
-        cn, c1, _ = self.histogram.running_sums
-        gm = c1[-1] / cn[-1]
-        acc = 0.0
-        for g in grays:
-            diff = g - gm
-            acc += counts[g] * (diff * diff)
-        return acc / (len(grays) - 1)
+        k0 = len(self.histogram.occupied)
+        return self.histogram.nt / (self.histogram.N * (k0 - 1)) if k0 > 1 else None
 
     @cached_property
     def records(self) -> tuple[MergeRecord, ...]:
@@ -253,11 +255,8 @@ class MergeTrace:
 
     @cached_property
     def ss_total(self) -> float:
-        """Total squared deviation of every pixel's gray from the grand mean."""
-        cn, c1, _ = self.histogram.running_sums
-        counts = self.histogram.counts
-        gm = c1[-1] / cn[-1]
-        return math.fsum(counts[g] * (g - gm) ** 2 for g in self.histogram.occupied)
+        """Total squared deviation T of every pixel's gray from the grand mean, correctly rounded."""
+        return self.histogram.nt / self.histogram.N
 
     def to_dict(self) -> dict:
         cn, c1, _ = self.histogram.running_sums

@@ -237,11 +237,9 @@ def level_stats(h: Histogram, tsets: Iterable[ThresholdSet]) -> list[tuple[tuple
     is one int true division of the exact sums, so it is correctly rounded.
     """
     tsets = list(tsets)
-    cn, c1, c2 = h.running_sums
-    n_total = cn[-1]
+    n_total, nt = h.running_sums[0][-1], h.nt  # nt = N*T
     if n_total == 0:
         raise EmptyHistogram("histogram holds no pixels")
-    nt = n_total * c2[-1] - c1[-1] * c1[-1]  # N*T, T the total sum of squares
     return [
         (_psnr_pairs(n_total, num, den, sse), _estimates(n_total, nt, t.M, num, den))
         for t, (num, den, sse) in zip(tsets, _error_sums(h, tsets))
@@ -289,10 +287,11 @@ def psnr_at_levels(
     what level_stats' sums of the asked classes would.
     """
     levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
-    cn, c1, c2 = trace.histogram.running_sums
-    n_total, s1, s2 = cn[-1], c1[-1], c2[-1]
-    num, den = n_total * s2 - s1 * s1, n_total  # W*den of the one class
-    sse = s2 + _rounded_sse(n_total, s1)
+    h = trace.histogram
+    cn, c1, c2 = h.running_sums
+    n_total = cn[-1]
+    num, den = h.nt, n_total  # W*den of the one class
+    sse = c2[-1] + _rounded_sse(n_total, c1[-1])
     found = {}
     for splits, tset in walk_splits(trace, levels):
         for na, sa, nb, sb in splits:

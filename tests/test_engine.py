@@ -386,12 +386,12 @@ class TestRunDendrogram:
 
 # sha256 of every trace's to_json() plus the repr of each record's fields
 TRACE_DIGESTS = {
-    "sparse": "e834eb4b1aba2d8fe2eb8b013be620cc528d334488f7a17be30df7bae1874318",
-    "dense": "85626ee3cb57508de905ee0a86d5732473976f6e6e2fdc7d666e596bf39038a1",
-    "tie-prone": "0a167f1ee90311e3cb8673a715974f9e2a7a72c308e2140512153554329cc3dd",
+    "sparse": "6eeb4156ea5c40e455d33d283cea73bf0f85aacbd3885eabfbdea74d8a4e2ae4",
+    "dense": "7b581b1b214687dffd866b96da953b6f63321a06ec3945e2d472ce522e3eadc4",
+    "tie-prone": "421fc7097fe062cd8d7155f70e0ec71afd059208086b9ffc1d6f59d420af162d",
     128: "e3c92c3baa89aa284b092d98478cec0e3ad55b7d790725d337ea8b24267a2318",
     512: "412fdf45b80c89aebdb805797388d90e0a61027c19836d6b04c3688d78b8a57f",
-    2048: "4b5f78695c23b9c2e31e68f7c5037f98a8ba7713a236fbd9f29aae142d993400",
+    2048: "1cbc64dfe64f8c9a87e7e25acd05d70115958a0ccc24f521a36b5c92bfa2e0c2",
 }
 
 
@@ -682,6 +682,30 @@ class TestDerivedRecords:
         assert trace.records is records
 
 
+def test_w0_and_ss_total_are_correctly_rounded():
+    """w0 = T/(K0 - 1) and ss_total = T, each the float nearest its exact value.
+
+    T is summed as Fractions straight from the bins, over the merge-order
+    families and test images from 64^2 to 2048^2 at seeds 7 and 11.
+    """
+    hists = [h for family in merge_order_families().values() for h in family]
+    for seed in (7, 11):
+        hists += [histogram_of(standard_image(1 << p, seed)) for p in range(6, 12)]
+    assert len(hists) == 515
+    mismatched = {"w0": 0, "ss_total": 0}
+    for h in hists:
+        trace = run_dendrogram(h)
+        occupied = [(g, c) for g, c in enumerate(h.counts) if c]
+        mu = Fraction(sum(g * c for g, c in occupied), sum(c for _, c in occupied))
+        total = sum(c * (g - mu) ** 2 for g, c in occupied)
+        mismatched["ss_total"] += trace.ss_total != float(total)
+        if len(occupied) == 1:
+            assert trace.w0 is None
+        else:
+            mismatched["w0"] += trace.w0 != float(total / (len(occupied) - 1))
+    assert mismatched == {"w0": 0, "ss_total": 0}
+
+
 class TestTraceSerialization:
     def test_schema(self):
         data = run_dendrogram(EXAMPLE).to_dict()
@@ -743,3 +767,7 @@ class TestHistogramIngestion:
             histogram_from_csv("300,1\n")
         with pytest.raises(ValueError):
             histogram_from_csv("3,-1\n")
+        for text in ("1_0,5", "3,1_000", "\u0663,5", "3,\u0663", "+3,1", "3,+1",
+                     "0" * 5000 + "1,1"):
+            with pytest.raises(ValueError, match="expected 'gray,count'"):
+                histogram_from_csv(text)
