@@ -55,8 +55,13 @@ def _finite_or_none(value: float | None) -> float | None:
 
 def _positive_int(minimum: int, what: str):
     def parse(text: str) -> int:
+        # ASCII digits only: int() would also take a sign, '_' or another
+        # script's digits.  It still refuses a value past its digit limit.
+        digits = text.strip()
         try:
-            value = int(text)
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            value = int(digits)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer") from None
         if value < minimum:

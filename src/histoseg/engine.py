@@ -5,10 +5,13 @@ merges the adjacent pair whose pooled squared-mean gap d_sq is smallest.
 One O(K0^2) run over K0 initial classes is the only code that applies
 merges.  It gives each initial class one fixed float64 slot, the distance
 to its live right neighbour (+inf once merged away, and for the last
-class), read and written as Python floats through a memoryview, links
-neighbours through two index lists, finds each merge with one argmin scan
-of the array (the first minimum is the lowest slot, so the lowest gray
-wins ties) and keeps each class's exact count and gray sum as Python
+class), read and written as Python floats through a memoryview; below
+2**26 pixels the starting distances are NumPy int64 and float64
+expressions, exact there, and from 2**26 on a list of Python-int ones.
+It links neighbours through two index lists, finds each merge with one
+argmin scan of the array, written into a reused 0-d buffer and read back
+as a Python int (the first minimum is the lowest slot, so the lowest gray
+wins ties), and keeps each class's exact count and gray sum as Python
 ints; nothing is shifted as classes go.  Each merge stores only the cut
 it removed and its d_sq.  The unbiased within-class and between-class
 variance estimates v and w, and q = v/w, follow from the d_sq by O(1)
@@ -22,14 +25,14 @@ its trace in one walk up it from the one-class partition, which puts one
 cut back per level, with every class sum from Histogram.running_sums.
 The walk is one generator, walk_splits(), the interface for any code
 that follows it: for each level asked, from the smallest up, it yields
-its ThresholdSet with the splits made since the level before, each as
-(na, sa, nb, sb).  metrics.psnr_at_levels carries each level's exact errors
-along it: W, the within-class sum of squares, as one fraction whose
-denominator is the product of the class counts, which a split lowers by
-the exact cost e^2/(na*nb*(na+nb)), e = nb*sa - na*sb, of the merge it
-undoes (a merge's d_sq is this cost as a float), and the rounded-mean
-error, which a split changes by three int terms.  So no level's classes
-are summed again.
+its ThresholdSet, built valid with no second check, with the splits made
+since the level before, each as (na, sa, nb, sb).  metrics.psnr_at_levels
+carries each level's exact errors along it: W, the within-class sum of
+squares, as one fraction whose denominator is the product of the class
+counts, which a split lowers by the exact cost e^2/(na*nb*(na+nb)),
+e = nb*sa - na*sb, of the merge it undoes (a merge's d_sq is this cost as
+a float), and the rounded-mean error, which a split changes by three int
+terms.  So no level's classes are summed again.
 The run stores its cuts and costs and nothing else: MergeTrace.w0, the
 between-class variance of the K0-class start state, MergeTrace.initial,
 its classes, and MergeTrace.ss_total, the total scatter, are derived from
@@ -53,6 +56,9 @@ import numpy as np
 # The most pixels histogram_of's int64 counts can hold; the bound keeps every
 # float in a merge trace finite.
 MAX_PIXELS = 2**63 - 1
+
+# Below this many pixels run_dendrogram builds its starting costs in NumPy.
+_EXACT_STARTUP = 2**26
 
 
 class EmptyHistogram(ValueError):
@@ -316,6 +322,17 @@ class ThresholdSet:
         if not all(map(operator.lt, bounds, bounds[1:])):
             raise ValueError("cut points must be strictly increasing below top")
 
+    @classmethod
+    def _built_valid(cls, cuts: tuple[int, ...], means: tuple[float, ...], top: int):
+        """A set whose caller built it valid, with none of __post_init__'s checks.
+
+        cuts must be a tuple of ints, non-negative and strictly increasing
+        below the int top, and means a tuple of one float per class.
+        """
+        tset = object.__new__(cls)
+        tset.__dict__.update(cuts=cuts, means=means, top=top)
+        return tset
+
     @property
     def M(self) -> int:
         return len(self.means)
@@ -330,13 +347,19 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     every sum are exact up to a pair distance's one float expression.  A
     class is named by its first initial class, and each initial class owns
     one fixed slot of a float64 array: its distance to its live right
-    neighbour, or +inf for a merged-away class and the last one.  The loop
-    reads and writes slots through a memoryview of the array, as Python
-    floats.  Each step is one argmin over the slots, a linear scan whose
-    first minimum is the lowest slot, which is the lowest gray, so ties go
-    to the lowest index.  Lists prv/nxt link each class to its neighbours,
-    and only the two distances touching the new class are recomputed, so
-    nothing is shifted and a run is O(K0^2).  Each merge appends its
+    neighbour, or +inf for a merged-away class and the last one.  Below
+    2**26 pixels the K0 - 1 starting distances are built as NumPy int64 and
+    float64 expressions: every n1*n2 and n1 + n2 is then exact in float64,
+    so each is the float the int expression gives.  From 2**26 on they are
+    a list of that int expression.  The loop reads and writes slots
+    through a memoryview of the array, as Python floats.  Each step is one
+    argmin over the slots, a linear scan whose first minimum is the lowest
+    slot, which is the lowest gray, so ties go to the lowest index; it
+    writes the index into one 0-d intp buffer, reused by every step and
+    read through a memoryview as a Python int, so no NumPy scalar is
+    boxed.  Lists prv/nxt link each class to its neighbours, and only the
+    two distances touching the new class are recomputed, so nothing is
+    shifted and a run is O(K0^2).  Each merge appends its
     boundary gray and d_sq and nothing else; v, w and q are left to
     _variances(), for the readers that ask.
     """
@@ -352,17 +375,32 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
 
     # A single level's mean s/n is exactly its gray g.  Histogram's
     # MAX_PIXELS bound keeps every cost finite, so no live cost ties +inf.
-    d2 = np.array(
-        [n1 * n2 / (n1 + n2) * ((g1 - g2) * (g1 - g2))
-         for n1, g1, n2, g2 in zip(ns, grays, ns[1:], grays[1:])] + [math.inf],
-        dtype=np.float64,
-    )
     inf = math.inf
-    # Slots go in and out as Python floats, never boxed as NumPy scalars.
-    argmin, slot = d2.argmin, memoryview(d2)
+    if h.N < _EXACT_STARTUP:
+        # Every n1*n2 < 2**50 and n1 + n2 < 2**26 is exact in int64 and in
+        # float64, so each float is the int expression's below.
+        n = np.fromiter(ns, np.int64, k0)
+        dg = np.diff(np.fromiter(grays, np.int64, k0))
+        dg *= dg
+        d2 = np.empty(k0)
+        d2[-1] = inf
+        live = d2[:-1]
+        np.true_divide(n[:-1] * n[1:], n[:-1] + n[1:], out=live)
+        live *= dg
+    else:
+        d2 = np.array(
+            [n1 * n2 / (n1 + n2) * ((g1 - g2) * (g1 - g2))
+             for n1, g1, n2, g2 in zip(ns, grays, ns[1:], grays[1:])] + [inf],
+            dtype=np.float64,
+        )
+    # Slots and the argmin go in and out as Python ints and floats, never
+    # boxed as NumPy scalars: argmin writes into a 0-d buffer read back as an int.
+    at = np.empty((), dtype=np.intp)
+    argmin, slot, where = d2.argmin, memoryview(d2), memoryview(at)
     bounds, costs = [], []
     for _ in range(k0 - 1):
-        l = int(argmin())  # first minimum: the lowest slot wins ties
+        argmin(None, at)
+        l = where[()]  # first minimum: the lowest slot wins ties
         costs.append(slot[l])
         r = nxt[l]
         bounds.append(grays[r - 1])  # class l spans initial classes l..r-1
@@ -477,7 +515,9 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
     classes, which splits one class in two, and splits lists the steps
     made since the previous level yielded (from m = 1 for the first), in
     order, each as (na, sa, nb, sb): the pixel count and exact gray sum of
-    the lower and of the upper part.
+    the lower and of the upper part.  Its cuts are the trace's boundary
+    grays, distinct ints below the top gray, kept sorted, so each tset is
+    built valid and skips ThresholdSet's checks.
     """
     wanted = set(levels)
     h = trace.histogram
@@ -501,5 +541,5 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
             means[j : j + 1] = [sa / na, sb / nb]
             splits.append((na, sa, nb, sb))
         if m in wanted:
-            yield splits, ThresholdSet(cuts=tuple(cuts), means=tuple(means), top=top)
+            yield splits, ThresholdSet._built_valid(tuple(cuts), tuple(means), top)
             splits = []

@@ -547,6 +547,13 @@ class TestArgumentValidation:
             ["sweep", "IMAGE", "--levels-list", "1,3"],
             ["bench", "--bins-list", "0"],
             ["bench", "--bins-list", "8", "--repeat", "0"],
+            # int() takes these; the CLI takes ASCII digits only
+            ["threshold", "IMAGE", "--levels", "1_0"],
+            ["threshold", "IMAGE", "--levels", "\u0664"],
+            ["threshold", "IMAGE", "--levels", "+4"],
+            ["sweep", "IMAGE", "--levels-list", "2,\u0663"],
+            ["bench", "--bins-list", "1_0"],
+            ["bench", "--bins-list", "8", "--repeat", "1_0"],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "IMAGE"),
     )
@@ -559,6 +566,16 @@ class TestArgumentValidation:
         [line] = [ln for ln in err.splitlines() if "error:" in ln]
         assert f"argument {argv[-2]}:" in line  # the flag whose value is bad
         assert "Traceback" not in err
+
+    def test_spaces_around_integers_are_legal(self, five_pixel_image, tmp_path):
+        entries = []
+        for levels in ("2,3", " 2, 3 "):
+            report = tmp_path / "sweep.json"
+            assert main(["sweep", five_pixel_image, "--levels-list", levels,
+                         "--report", str(report)]) == 0
+            entries.append(json.loads(report.read_text())["entries"])
+        assert entries[0] == entries[1]
+        assert main(["threshold", five_pixel_image, "--levels", " 3 "]) == 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

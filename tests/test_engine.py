@@ -282,6 +282,13 @@ class TestRunDendrogram:
             hists.append(hist_from({g: rng.randint(2**50, hi) for g in rng.sample(range(256), k)}))
         hists += [hist_from({0: 2**62, 255: 2**62 - 1}),
                   hist_from({g: MAX_PIXELS // 256 for g in range(256)})]
+        # N = 2**26 - 1 and 2**26, each side of the switch from NumPy starting
+        # costs to the int expression's list; adjacent counts near 2**25 put
+        # n1*n2 near 2**50
+        for n in (2**26 - 1, 2**26):
+            hists += [hist_from({3: 2**25, 200: n - 2**25}),
+                      hist_from({7: 2**25 - 3, 8: n - 2**25 - 1, 130: 3, 254: 1}),
+                      hist_from({0: 2**24 + 5, 1: 2**25 - 9, 99: n - 7 * 2**23 + 4, 255: 2**23})]
         for h in hists:
             # (n, exact gray sum, top gray) of each class, rebuilt from scratch every step
             classes = [(c, g * c, g) for g, c in enumerate(h.counts) if c]
@@ -557,12 +564,22 @@ class TestLevelWalk:
             trace.histogram, tuple(sorted(bounds[k0 - m :])), trace.histogram.occupied[-1]
         )
 
+    @staticmethod
+    def assert_same_sets(got, want):
+        """The walk's sets, built with no check, are the public constructor's sets."""
+        assert got == want
+        for tset, ref in zip(got, want):
+            assert hash(tset) == hash(ref)
+            assert type(tset.cuts) is tuple and type(tset.means) is tuple
+            assert all(type(x) is int for x in (*tset.cuts, tset.top))
+
     def test_single_levels(self):
         for h in walk_cases():
             trace = run_dendrogram(h)
             k0 = len(trace.records) + 1
             for m in range(1, k0 + 1):  # a walk of every length, 0 to K0 - 1 steps
-                assert thresholds_at_levels(trace, [m]) == [self.from_scratch(trace, m)]
+                want = [self.from_scratch(trace, m)]
+                self.assert_same_sets(thresholds_at_levels(trace, [m]), want)
 
     def test_repeated_and_unsorted_levels(self):
         rng = random.Random(71)
@@ -572,9 +589,8 @@ class TestLevelWalk:
             # 1 and K0 make one walk cover every level
             levels = [rng.randint(1, k0) for _ in range(6)] + [k0, 1]
             levels += levels[:2]
-            assert thresholds_at_levels(trace, levels) == [
-                self.from_scratch(trace, m) for m in levels
-            ]
+            want = [self.from_scratch(trace, m) for m in levels]
+            self.assert_same_sets(thresholds_at_levels(trace, levels), want)
 
     def test_contiguous_and_sparse_lists(self):
         # contiguous runs and wide gaps between the levels read in one walk
@@ -588,9 +604,8 @@ class TestLevelWalk:
                 [*range(2, min(k0, 26)), k0 // 2, k0 // 2 + 1, k0],
             ):
                 levels = [m for m in levels if m >= 1]
-                assert thresholds_at_levels(trace, levels) == [
-                    self.from_scratch(trace, m) for m in levels
-                ]
+                want = [self.from_scratch(trace, m) for m in levels]
+                self.assert_same_sets(thresholds_at_levels(trace, levels), want)
 
     def test_no_levels(self):
         trace = run_dendrogram(EXAMPLE)
