@@ -8,9 +8,12 @@ table), each for SECONDS at seed 7; threshold-2048 also runs at seed 11,
 where quantize scans the raster for its top gray.  Each run's verdict and
 metrics come from its last stdout line, and the calibration unit's median
 time (unit_ms, which says how fast the machine ran) from the notes line
-above it; traced runs print none.  The file, written at the repository
-root, also holds the HEAD commit and whether the tree had uncommitted
-changes, so a point can be traced to the code it measured.
+above it.  Traced runs print none, so this script measures the unit
+itself right after each traced run, with speed_seconds() imported from
+perfbench/calibration.py, the same unit the untraced runs time.  The
+file, written at the repository root, also holds the HEAD commit and
+whether the tree had uncommitted changes, so a point can be traced to
+the code it measured.
 """
 
 import json
@@ -20,6 +23,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibration import speed_seconds  # noqa: E402
+
 SECONDS = 8
 SEEDS = {"threshold-2048": (7, 11)}
 DEFAULT_SEEDS = (7,)
@@ -38,6 +44,7 @@ def run(workload: str, seed: int, trace: int) -> dict:
                            text=True).stdout.splitlines()
     result = json.loads(lines[-1])
     unit = re.search(r"\bunit_ms ([^,\s]+)", lines[-2])
+    unit_ms = float(unit[1]) if unit else 1e3 * speed_seconds()  # traced runs print no unit
     return {
         "workload": workload,
         "seed": seed,
@@ -46,7 +53,7 @@ def run(workload: str, seed: int, trace: int) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "end_to_end" if trace == 0 else "layers": result["metrics"],
-        "unit_ms": float(unit[1]) if unit else None,
+        "unit_ms": unit_ms,
     }
 
 

@@ -13,12 +13,13 @@ argmin scan of the array, written into a reused 0-d buffer and read back
 as a Python int (the first minimum is the lowest slot, so the lowest gray
 wins ties), and keeps each class's exact count and gray sum as Python
 ints; nothing is shifted as classes go.  Each merge stores only the cut
-it removed and its d_sq.  The unbiased within-class and between-class
-variance estimates v and w, and q = v/w, follow from the d_sq by O(1)
-updates per merge, in one generator, _variances(), run only when
-MergeTrace.records is read.  That is the paper's recursion, kept as
-library API and checked against naive sums; no command reads it, as
-metrics.level_stats gives a cut set's v, w and q exactly from the
+it removed and its d_sq, and the trace is built valid, skipping the
+checks a hand-built MergeTrace gets.  The unbiased within-class and
+between-class variance estimates v and w, and q = v/w, follow from the
+d_sq by O(1) updates per merge, in one generator, _variances(), run
+only when MergeTrace.records is read.  That is the paper's recursion,
+kept as library API and checked against naive sums; no command reads
+it, as metrics.level_stats gives a cut set's v, w and q exactly from the
 histogram's sums.
 The partitions for any class counts are read off
 its trace in one walk up it from the one-class partition, which puts one
@@ -225,11 +226,23 @@ class MergeTrace:
     and its cost, the two values the merge loop decides.  w0, records,
     initial and ss_total are not stored: each is derived on first use,
     records from the two tuples and w0, the others from the histogram.
+    A hand-built trace is checked: EmptyHistogram for no pixels, and
+    ValueError unless its boundary grays, stored as Python ints, are the
+    occupied grays below the top, each once, with one d_sq per gray.
     """
 
     histogram: Histogram
     boundary_gray: tuple[int, ...]
     d_sq: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.histogram.N == 0:
+            raise EmptyHistogram("histogram holds no pixels")
+        bounds = _as_ints(tuple(self.boundary_gray), "boundary grays")
+        object.__setattr__(self, "boundary_gray", bounds)
+        object.__setattr__(self, "d_sq", tuple(self.d_sq))
+        if sorted(bounds) != list(self.histogram.occupied[:-1]) or len(self.d_sq) != len(bounds):
+            raise ValueError("need each occupied gray below the top once, with one d_sq each")
 
     @cached_property
     def w0(self) -> float | None:
@@ -322,20 +335,19 @@ class ThresholdSet:
         if not all(map(operator.lt, bounds, bounds[1:])):
             raise ValueError("cut points must be strictly increasing below top")
 
-    @classmethod
-    def _built_valid(cls, cuts: tuple[int, ...], means: tuple[float, ...], top: int):
-        """A set whose caller built it valid, with none of __post_init__'s checks.
-
-        cuts must be a tuple of ints, non-negative and strictly increasing
-        below the int top, and means a tuple of one float per class.
-        """
-        tset = object.__new__(cls)
-        tset.__dict__.update(cuts=cuts, means=means, top=top)
-        return tset
-
     @property
     def M(self) -> int:
         return len(self.means)
+
+
+def _built_valid(cls, **fields):
+    """The frozen dataclass cls holding `fields`, which its caller built valid.
+
+    No __post_init__ runs, so each field must be what it would store.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def run_dendrogram(h: Histogram) -> MergeTrace:
@@ -420,7 +432,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
             slot[l] = n1 * n2 / (n1 + n2) * (diff * diff)
         else:
             slot[l] = inf
-    return MergeTrace(histogram=h, boundary_gray=tuple(bounds), d_sq=tuple(costs))
+    return _built_valid(MergeTrace, histogram=h, boundary_gray=tuple(bounds), d_sq=tuple(costs))
 
 
 def _variances(trace: MergeTrace):
@@ -444,22 +456,18 @@ def _variances(trace: MergeTrace):
         yield v, w, q
 
 
-def class_count(m: int) -> int:
-    """m as an int; raise InvalidLevel unless it is an integer class count.
+def check_level(m: int, k0: int) -> int:
+    """m as an int; raise InvalidLevel unless it is an integer from 1 to K0.
 
     Python and NumPy integers pass; bools, floats and other types do not.
+    The one class-count check, for the walk and for exhaustive_otsu.
     """
-    if isinstance(m, bool):
-        raise InvalidLevel(f"class count must be an integer, got {m!r}")
     try:
-        return operator.index(m)
+        if isinstance(m, bool):
+            raise TypeError
+        m = operator.index(m)
     except TypeError:
         raise InvalidLevel(f"class count must be an integer, got {m!r}") from None
-
-
-def check_level(m: int, k0: int) -> int:
-    """m as an int; raise InvalidLevel unless K0 occupied levels can form m classes."""
-    m = class_count(m)
     if m < 1:
         raise InvalidLevel(f"need at least one class, got m={m}")
     if m > k0:
@@ -541,5 +549,5 @@ def walk_splits(trace: MergeTrace, levels: list[int]):
             means[j : j + 1] = [sa / na, sb / nb]
             splits.append((na, sa, nb, sb))
         if m in wanted:
-            yield splits, ThresholdSet._built_valid(tuple(cuts), tuple(means), top)
+            yield splits, _built_valid(ThresholdSet, cuts=tuple(cuts), means=tuple(means), top=top)
             splits = []

@@ -2,14 +2,15 @@
 
 Everything here recomputes from the raw histogram, sharing no state with
 the engine's incremental updates, so the two routes stay independent
-checks of each other: naive_variances sums the plain definitions over
-the bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
+checks of each other: naive_variances sums the plain definitions over the
+bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
 globally optimal cut set by dynamic programming over the occupied levels,
 with exact tie-breaking.  Its score table holds only the feasible cells,
-one block per 128 rows (at most two for 256 levels), and stays exact in
-each class's count and gray sum at any pixel count (int64 differences
-once the pixel count or gray sum reaches 2^53).  The exact scatter of a
-cut set, by which the two are compared, is metrics.cut_set_errors.
+one block per 128 rows (at most two for 256 levels) that holds its scores
+and one scratch buffer, exact in each class's count and gray sum at any
+pixel count (int64 differences once the pixel count or gray sum reaches
+2^53).  The exact scatter of a cut set, by which the two are compared, is
+metrics.cut_set_errors.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from .engine import (
     InvalidLevel,
     ThresholdSet,
     check_level,
-    class_count,
     threshold_set,
 )
 
@@ -74,35 +74,34 @@ def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]
 def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     """Globally optimal m-class cut set, found by dynamic programming.
 
-    Candidate cuts are the occupied gray levels below the top one: any
-    cut between two occupied levels classifies pixels identically to the
+    Candidate cuts are the occupied gray levels below the top one: any cut
+    between two occupied levels classifies pixels identically to the
     occupied level beneath it, so nothing is lost and cut sets stay
     canonical.  Maximizes the size-weighted scatter of class means about
     the grand mean over contiguous runs of the K0 occupied levels, the
     same optimum an enumeration of all comb(K0 - 1, m - 1) cut sets finds,
     in O(m * K0^2) time (Fisher's grouping for maximum homogeneity).  Its
-    table of class scores keeps only the feasible cells, those where a
-    class ends at or after its start, one block per 128 rows (at most two
-    for 256 levels): three quarters of K0^2 cells at K0 = 256.  Each
-    class's count and gray sum enters its float score as one correctly
-    rounded float at any pixel count: as a difference of float64 running
-    sums while the pixel count and the gray sum stay below 2^53, where
-    those are exact, and of int64 running sums from 2^53 on.  Exact ties
-    keep the lexicographically smallest cut set: every DP cell takes the
-    smallest first-class end that reaches its exact optimum, and a cell
-    with several float scores within rounding error of its maximum settles
-    them exactly from the integer class sums.  Raises InvalidLevel when m
-    is not an integer, m < 2 or fewer than m levels are occupied, and
-    EmptyHistogram for no pixels.
+    table of class scores keeps only the feasible cells, where a class
+    ends at or after its start: three quarters of K0^2 cells at K0 = 256,
+    in blocks of 128 rows (at most two for 256 levels), each with one
+    buffer for its class counts and sweep sums.  Each class's count and
+    gray sum enters its float score as one correctly rounded float at any
+    pixel count: as a difference of float64 running sums while the pixel
+    count and the gray sum stay below 2^53, where those are exact, and of
+    int64 running sums from 2^53 on.  Exact ties keep the
+    lexicographically smallest cut set: every DP cell takes the smallest
+    first-class end that reaches its exact optimum, and a cell with
+    several float scores within rounding error of its maximum settles them
+    exactly from the integer class sums.  Raises EmptyHistogram for no
+    pixels, then InvalidLevel when check_level refuses m or m < 2.
     """
-    m = class_count(m)
-    if m < 2:
-        raise InvalidLevel(f"need at least two classes, got m={m}")
     if h.N == 0:
         raise EmptyHistogram("histogram holds no pixels")
     occupied = h.occupied
     k0 = len(occupied)
-    check_level(m, k0)
+    m = check_level(m, k0)
+    if m < 2:
+        raise InvalidLevel(f"need at least two classes, got m={m}")
 
     # Occupied levels i..c hold run_n[c + 1] - run_n[i] pixels summing to
     # run_s[c + 1] - run_s[i] gray, all exact Python ints.
@@ -128,16 +127,14 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
 
     # score[i, c]: n * (mean - grand)^2 of the class of levels i..c, the same
     # float form the between-class scatter takes, or -inf where c < i.  Only
-    # rows of one block and the columns from the block's first row on are
-    # kept, each block with its own buffers for the DP sweeps below.
+    # rows of one block and the columns from its first row on are kept, and
+    # one buffer per block: its class counts, then each DP sweep's sums.
     blocks = []
     for r0 in range(0, k0, _ROWS):
         size = min(_ROWS, k0 - r0)
-        score = np.empty((size, k0 - r0))
-        vals = np.empty_like(score)
-        n = vals  # the class counts, until the sweeps need the buffer
+        n = vals = np.empty((size, k0 - r0))
         np.subtract(sums_n[None, r0 + 1 :], sums_n[r0 : r0 + size, None], out=n)
-        np.subtract(sums_s[None, r0 + 1 :], sums_s[r0 : r0 + size, None], out=score)
+        score = (sums_s[None, r0 + 1 :] - sums_s[r0 : r0 + size, None]).astype(float, copy=False)
         if not small:
             score *= 2.0**32
             score += sums_s_low[None, r0 + 1 :] - sums_s_low[r0 : r0 + size, None]
@@ -147,12 +144,11 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
             score *= score
             score *= n
         np.copyto(score[:, :size], -np.inf, where=_BELOW[:size, :size])
-        blocks.append((r0, score, vals, np.empty(score.shape, dtype=bool),
-                       np.empty(size), np.empty(size, dtype=np.intp)))
+        blocks.append((r0, score, vals))
 
     # best[i]: greatest score of levels i..k0-1 in r classes (-inf where
     # fewer than r levels remain); choice[r][i]: where its first class ends.
-    best = np.concatenate([score[:, -1] for _, score, *_ in blocks] + [[-np.inf]])
+    best = np.concatenate([score[:, -1] for _, score, _ in blocks] + [[-np.inf]])
     choice: dict[int, list[int]] = {}
     # Exact sums of S^2/N as unreduced (numerator, denominator) int pairs,
     # denominators > 0; adding them skips the gcd a Fraction takes each time.
@@ -182,26 +178,20 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
         top = np.full(k0 + 1, -np.inf)
         first = [0] * (hi + 1)
         tied_cells = []
-        for r0, score, vals, near, band, arg in blocks:
+        for r0, score, vals in blocks:
             a, b = max(lo, r0), min(hi + 1, r0 + len(score))
             if a >= b:
                 continue
-            v, nr, bd = vals[: b - a], near[: b - a], band[: b - a]
-            np.add(score[a - r0 : b - r0], best[r0 + 1 :], out=v)
-            row_top = v.max(axis=1, out=top[a:b])
-            # With each class's count and gray sum one correctly rounded float,
-            # at every pixel count, the float score errs by about
-            # 1e-13 * sqrt(N * scatter) plus a few ulps.  The band is
-            # 1e-9 * max(top, sqrt(N * top)) below the row's top.
-            np.multiply(row_top, n_total, out=bd)
-            np.sqrt(bd, out=bd)
-            np.maximum(row_top, bd, out=bd)
-            bd *= 1e-9
-            np.subtract(row_top, bd, out=bd)
-            np.greater_equal(v, bd[:, None], out=nr)
-            first[a:b] = (nr.argmax(axis=1, out=arg[: b - a]) + r0).tolist()
-            tied = np.flatnonzero(np.count_nonzero(nr, axis=1) > 1)
-            cells, ends = np.nonzero(nr[tied])
+            v = np.add(score[a - r0 : b - r0], best[r0 + 1 :], out=vals[: b - a])
+            row_top = top[a:b] = v.max(axis=1)
+            # With each class's count and gray sum one correctly rounded float, the
+            # float score errs by about 1e-13 * sqrt(N * scatter) plus a few ulps at
+            # any pixel count.  The band is 1e-9 * max(top, sqrt(N * top)) below it.
+            band = row_top - 1e-9 * np.maximum(row_top, np.sqrt(row_top * n_total))
+            near = v >= band[:, None]
+            first[a:b] = (near.argmax(axis=1) + r0).tolist()
+            tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+            cells, ends = np.nonzero(near[tied])
             tied_cells += zip((tied[cells] + a).tolist(), (ends + r0).tolist())
         # Cells with several candidates in the band take the smallest end
         # whose exact score no later candidate beats.

@@ -686,6 +686,36 @@ class TestDerivedRecords:
             read(trace)
             assert "records" not in vars(trace) and "w0" not in vars(trace)
 
+    @pytest.mark.parametrize(
+        "counts, bounds, n_costs, error",
+        [
+            ((1, 1, 1, 1), (1, 1, 2), 3, ValueError),  # once ZeroDivisionError in the walk
+            ((1, 1, 1, 1), (7, 0, 1), 3, ValueError),  # once IndexError in the walk
+            ((1, 1, 1, 1), (0, 1), 2, ValueError),  # once 3 classes of 4 levels
+            ((1, 1, 1, 1), (0, 1, 2), 1, ValueError),  # once one record, with K_after 1
+            ((0, 0), (), 0, EmptyHistogram),  # once IndexError in the walk
+            ((1, 1, 1, 1), np.array([2, 1, 0]), 3, None),  # once np.int64 cuts
+        ],
+        ids=["repeated", "out-of-range", "missing", "short-d_sq", "empty", "numpy-grays"],
+    )
+    def test_hand_built_traces_are_checked(self, counts, bounds, n_costs, error):
+        h = Histogram(counts)
+        if error is not None:
+            with pytest.raises(error, match="occupied gray|no pixels"):
+                MergeTrace(h, bounds, (1.0,) * n_costs)
+            return
+        trace = MergeTrace(h, bounds, (1.0,) * n_costs)
+        assert trace.boundary_gray == (2, 1, 0)
+        tsets = thresholds_at_levels(trace, [1, 2, 3, 4])
+        assert [t.cuts for t in tsets] == [(), (0,), (0, 1), (0, 1, 2)]
+        assert {type(g) for g in trace.boundary_gray + sum((t.cuts for t in tsets), ())} == {int}
+
+    def test_run_dendrogram_traces_pass_the_check(self):
+        hists = sum(merge_order_families().values(), []) + [histogram_of(standard_image(256))]
+        for h in hists:
+            trace = run_dendrogram(h)
+            assert MergeTrace(h, trace.boundary_gray, trace.d_sq) == trace
+
     @pytest.mark.parametrize("first", ["records", "to_json"])
     def test_records_are_built_once(self, first):
         trace = run_dendrogram(histogram_of(standard_image(128)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -19,8 +20,15 @@ from histoseg.engine import (
 )
 from histoseg.metrics import cut_set_errors
 from histoseg.oracle import exhaustive_otsu, naive_variances
+from histoseg.pgm import histogram_of
 
-from helpers import dense_histogram, hist_from, sparse_histogram
+from helpers import (
+    dense_histogram,
+    hist_from,
+    merge_order_families,
+    sparse_histogram,
+    standard_image,
+)
 
 EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
 
@@ -219,6 +227,23 @@ class TestExhaustiveOtsu:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 256 * 256 * 8
+
+    def test_cut_sets_are_identical_to_pinned_digest(self):
+        # 2,406 searches over the merge-order families and 144 at paper scale,
+        # 256-level images in up to 25 classes, each cut set pinned exactly
+        digest = hashlib.sha256()
+        for family, hists in merge_order_families().items():
+            for index, h in enumerate(hists):
+                for m in range(2, min(len(h.occupied), 6) + 1):
+                    digest.update(repr((family, index, m, exhaustive_otsu(h, m).cuts)).encode())
+        for size in (128, 512, 1024):
+            for seed in (7, 11):
+                h = histogram_of(standard_image(size, seed))
+                for m in range(2, 26):
+                    digest.update(repr((size, seed, m, exhaustive_otsu(h, m).cuts)).encode())
+        assert digest.hexdigest() == (
+            "3aee6f278b94c7b5c63302b2294495adb7bf08b3cacbfad01dde3da1e222c9c4"
+        )
 
     def test_flat_256_levels_in_25_classes(self):
         # the C(25, 6) optima order 19 classes of 10 levels and 6 of 11;
