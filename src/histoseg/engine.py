@@ -86,14 +86,14 @@ class Histogram:
         object.__setattr__(self, "counts", counts)
         if min(self.counts) < 0:
             raise ValueError("bin counts must be non-negative")
-        if sum(self.counts) > MAX_PIXELS:
+        if self.N > MAX_PIXELS:
             raise ValueError(f"total count exceeds {MAX_PIXELS} (2**63 - 1)")
 
     @property
     def G(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def N(self) -> int:
         return sum(self.counts)
 
@@ -118,8 +118,8 @@ class Histogram:
     @cached_property
     def nt(self) -> int:
         """N*T = N*S2 - S1^2, exact: N times the total sum of squares T about the grand mean."""
-        cn, c1, c2 = self.running_sums
-        return cn[-1] * c2[-1] - c1[-1] * c1[-1]
+        _, c1, c2 = self.running_sums
+        return self.N * c2[-1] - c1[-1] * c1[-1]
 
 
 def _as_ints(values: tuple, what: str) -> tuple[int, ...]:
@@ -278,17 +278,16 @@ class MergeTrace:
         return self.histogram.nt / self.histogram.N
 
     def to_dict(self) -> dict:
-        cn, c1, _ = self.histogram.running_sums
-        counts = self.histogram.counts
+        h = self.histogram
         return {
-            "G": self.histogram.G,
-            "N": cn[-1],
-            "grand_mean": c1[-1] / cn[-1],
+            "G": h.G,
+            "N": h.N,
+            "grand_mean": h.running_sums[1][-1] / h.N,
             "ss_total": self.ss_total,
             # a single level's mean c*g / c is exactly g
             "initial_classes": [
-                {"n": counts[g], "a": float(g), "g_lo": g, "g_hi": g}
-                for g in self.histogram.occupied
+                {"n": h.counts[g], "a": float(g), "g_lo": g, "g_hi": g}
+                for g in h.occupied
             ],
             # a record's fields are its entry's keys; a None w or q is left out
             "merges": [

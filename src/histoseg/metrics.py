@@ -183,7 +183,7 @@ def _error_sums(h: Histogram, tsets: Iterable[ThresholdSet]):
     cn, c1, c2 = h.running_sums
     last = h.G - 1
     for t in tsets:
-        if cn[-1] > cn[min(t.top, last) + 1]:
+        if h.N > cn[min(t.top, last) + 1]:
             raise RangeMismatch(f"histogram has counts above threshold range top {t.top}")
         num, den = 0, 1
         sse_rounded = 0
@@ -237,7 +237,7 @@ def level_stats(h: Histogram, tsets: Iterable[ThresholdSet]) -> list[tuple[tuple
     is one int true division of the exact sums, so it is correctly rounded.
     """
     tsets = list(tsets)
-    n_total, nt = h.running_sums[0][-1], h.nt  # nt = N*T
+    n_total, nt = h.N, h.nt  # nt = N*T
     if n_total == 0:
         raise EmptyHistogram("histogram holds no pixels")
     return [
@@ -288,8 +288,8 @@ def psnr_at_levels(
     """
     levels = [check_level(m, len(trace.boundary_gray) + 1) for m in levels]
     h = trace.histogram
-    cn, c1, c2 = h.running_sums
-    n_total = cn[-1]
+    _, c1, c2 = h.running_sums
+    n_total = h.N
     num, den = h.nt, n_total  # W*den of the one class
     sse = c2[-1] + _rounded_sse(n_total, c1[-1])
     found = {}

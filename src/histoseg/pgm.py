@@ -65,7 +65,9 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray:
     header tokens are; bytes after the last needed sample are ignored.  The
     first non-digit token raises MalformedPayload even when samples run
     short; TruncatedPayload means every token present was numeric.  Bytes
-    are classed by uint8 arithmetic, with no lookup table.
+    are classed by uint8 arithmetic, with no lookup table.  A sample is read
+    at its token's last byte, the only index kept, and a token spelling more
+    than 999 is refused by one vectorized rule, with no loop over tokens.
     """
     if b"#" in payload:
         payload = _COMMENT.sub(b" ", payload)
@@ -76,34 +78,32 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray:
     tok = in_token[1:-1]
     np.greater_equal(buf - 9, 5, out=tok)  # not whitespace: not 9..13 and not 32
     tok &= buf != 32
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
-    starts, ends = edges[0::2][:count], edges[1::2][:count]
-    if len(ends):
-        bad = np.flatnonzero(tok[: ends[-1]] > digit[: ends[-1]])  # in a token, not a digit
-        if len(bad):
-            i = np.searchsorted(starts, bad[0], side="right") - 1
-            quoted = payload[starts[i] : min(ends[i], starts[i] + 32)]  # at most 32 bytes
-            raise MalformedPayload(f"non-numeric sample {quoted!r}")
-    if len(ends) < count:
-        raise TruncatedPayload(f"expected {count} samples, found {len(ends)}")
+    last = np.flatnonzero(tok > in_token[2:])[:count]  # a token's last byte
+    n = int(last[-1]) + 1 if len(last) else 0
+    bad = np.flatnonzero(tok[:n] > digit[:n])  # in a token, not a digit
+    if len(bad):
+        start = bad[0] + 1 - in_token[bad[0] + 1 :: -1].argmin()  # its token's first byte
+        quoted = payload[start : start + 32].split()[0]  # at most 32 bytes
+        raise MalformedPayload(f"non-numeric sample {quoted!r}")
+    if len(last) < count:
+        raise TruncatedPayload(f"expected {count} samples, found {len(last)}")
 
-    # val[i]: the number the up-to-three digits ending at byte i spell, and a
-    # sample is val at its token's last byte.  A non-digit counts 0, so the
+    # A nonzero digit with three digits after it makes a sample past 999, as
+    # every byte up to n is in an all-digit token: one rule for long tokens.
+    u = d * digit  # a non-digit counts 0
+    k = max(n - 3, 0)
+    if ((u[:k] != 0) & digit[1 : k + 1] & digit[2 : k + 2] & digit[3 : k + 3]).any():
+        raise MalformedPayload("sample outside [0, maxval]")
+    # val[i]: the number the up-to-three digits ending at byte i spell.  The
     # tens need no mask; the hundreds count only when the tens byte is a
     # digit, as past a one-digit token they belong to the token before.
     # Temporaries stay uint8 where the values fit: tens times 10 is at most 90.
-    u = d * digit
     val = np.zeros(len(u), dtype=np.int16)
     np.multiply(u[:-2], digit[1:-1], out=val[2:])
     val *= 100
     val[1:] += u[:-1] * 10
     val += u
-    values = val[ends - 1]
-    # A longer token is in range only if all but its last three digits are 0.
-    for i in np.flatnonzero(ends - starts > 3):
-        if payload[starts[i] : ends[i] - 3].strip(b"0"):
-            raise MalformedPayload("sample outside [0, maxval]")
-    return values
+    return val[last]
 
 
 def read_pgm(data: bytes) -> GrayImage:

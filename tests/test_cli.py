@@ -182,8 +182,15 @@ class TestThreshold:
         assert out.read_bytes() == pgm_bytes(quantize(img, tset))
         assert src.read_bytes() == before
 
-    @pytest.mark.parametrize("size", [1024, 2048])  # both take histogram_of's pair path
-    def test_out_keeps_at_most_two_rasters_alive(self, tmp_path, size):
+    # 1024 and 2048 take histogram_of's pair path.  511, the largest square
+    # below pgm._PAIR_MIN, takes np.bincount's; its fixed temporaries are
+    # bincount's 512 KiB int64 slice and quantize's 128 KiB pair table and
+    # 256 KiB take slice, within 1 MiB, but a float64 raster copy is not.
+    @pytest.mark.parametrize("size, bound", [(511, 2 * 511 * 511 + (1 << 20)),
+                                             (1024, 2.5 * 1024 * 1024),
+                                             (2048, 2.5 * 2048 * 2048)],
+                             ids=["511", "1024", "2048"])
+    def test_out_keeps_at_most_two_rasters_alive(self, tmp_path, size, bound):
         # The input file's bytes and the quantized output; the input is freed
         # before write_pgm writes the output's own buffer, with no copy.
         src = tmp_path / "img.pgm"
@@ -196,7 +203,7 @@ class TestThreshold:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * size * size
+        assert peak <= bound
 
 
 def test_threshold_out_at_2048_is_byte_identical_to_pinned_digests(tmp_path, monkeypatch):

@@ -215,10 +215,11 @@ class TestReadPgm:
 
     def test_leading_zeros_and_long_samples(self):
         assert read_pgm(b"P2 3 1 255 000255 0000 007\n").pixels.tolist() == [[255, 0, 7]]
-        with pytest.raises(MalformedPayload):
-            read_pgm(b"P2 2 1 255 0 0001000\n")
-        with pytest.raises(MalformedPayload):
-            read_pgm(b"P2 1 1 255 " + b"9" * 5000 + b"\n")
+        assert read_pgm(b"P2 2 1 255 7 00000255").pixels.tolist() == [[7, 255]]
+        for data in (b"P2 2 1 255 0 0001000\n", b"P2 2 1 255 1000 7\n",
+                     b"P2 2 1 255 0 0001000", b"P2 1 1 255 " + b"9" * 5000 + b"\n"):
+            with pytest.raises(MalformedPayload, match=re.escape("outside [0, maxval]")):
+                read_pgm(data)
 
     def test_bytes_after_last_sample_ignored(self):
         assert read_pgm(b"P2 2 1 9 1#c\n2 x +3 -4").pixels.tolist() == [[1, 2]]
@@ -242,8 +243,16 @@ class TestReadPgm:
     def test_p2_of_a_standard_image_matches_its_p5(self):
         img = standard_image(128)
         want = read_pgm(pgm_bytes(img, "P5")).pixels
-        got = read_pgm(pgm_bytes(img, "P2")).pixels
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        data = pgm_bytes(img, "P2")
+        samples = data.split(b"255\n", 1)[1].split()
+        # As written, then every sample a long token whose leading digits are
+        # all zero: 4 digits apart by spaces, and 7 apart by each _WS byte in turn.
+        for width, seps in [(0, b""), (4, b" "), (7, WS)]:
+            if width:
+                data = b"P2 128 128 255\n" + b"".join(
+                    t.rjust(width, b"0") + seps[i % len(seps) :][:1] for i, t in enumerate(samples))
+            got = read_pgm(data).pixels
+            assert got.dtype == want.dtype and np.array_equal(got, want), width
 
     def test_zero_padded_fields_past_int_digit_limit(self):
         # int() refuses a string of over 4300 digits, leading zeros included.
@@ -290,6 +299,17 @@ class TestReadPgm:
         with pytest.raises(MalformedPayload) as e:
             read_pgm(b"P2 2 1 255 7 " + b"x" * 100_000 + b"\n")
         assert str(e.value) == f"non-numeric sample {b'x' * 32!r}"
+
+    def test_p2_peak_memory(self):
+        # The decode keeps one index per sample, its token's last byte.
+        data = pgm_bytes(standard_image(512), "P2")
+        tracemalloc.start()
+        try:
+            read_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(data)
 
     def test_non_numeric_sample_precedes_truncation(self):
         # Same shortfall as test_truncated_p2, but a token is not a number.
