@@ -5,9 +5,10 @@ merges the adjacent pair whose pooled squared-mean gap d_sq is smallest.
 One O(K0^2) run over K0 initial classes is the only code that applies
 merges.  It gives each initial class one fixed float64 slot, the distance
 to its live right neighbour (+inf once merged away, and for the last
-class), read and written as Python floats through a memoryview; below
-2**26 pixels the starting distances are NumPy int64 and float64
-expressions, exact there, and from 2**26 on a list of Python-int ones.
+class), read and written as Python floats through a memoryview; the
+starting distances are one NumPy expression, on int64 counts below 2**26
+pixels, where it is exact, and the same expression on Python ints from
+2**26 on.
 It links neighbours through two index lists, finds each merge with one
 argmin scan of the array, written into a reused 0-d buffer and read back
 as a Python int (the first minimum is the lowest slot, so the lowest gray
@@ -58,7 +59,7 @@ import numpy as np
 # float in a merge trace finite.
 MAX_PIXELS = 2**63 - 1
 
-# Below this many pixels run_dendrogram builds its starting costs in NumPy.
+# Below this many pixels run_dendrogram's starting costs take int64 counts.
 _EXACT_STARTUP = 2**26
 
 
@@ -358,11 +359,11 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     every sum are exact up to a pair distance's one float expression.  A
     class is named by its first initial class, and each initial class owns
     one fixed slot of a float64 array: its distance to its live right
-    neighbour, or +inf for a merged-away class and the last one.  Below
-    2**26 pixels the K0 - 1 starting distances are built as NumPy int64 and
-    float64 expressions: every n1*n2 and n1 + n2 is then exact in float64,
-    so each is the float the int expression gives.  From 2**26 on they are
-    a list of that int expression.  The loop reads and writes slots
+    neighbour, or +inf for a merged-away class and the last one.  The K0 - 1
+    starting distances are one NumPy expression, on int64 counts below
+    2**26 pixels, where every n1*n2 and n1 + n2 is exact in float64, and
+    the same expression on Python ints from 2**26 on, so each is the float
+    the int expression gives.  The loop reads and writes slots
     through a memoryview of the array, as Python floats.  Each step is one
     argmin over the slots, a linear scan whose first minimum is the lowest
     slot, which is the lowest gray, so ties go to the lowest index; it
@@ -387,23 +388,17 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     # A single level's mean s/n is exactly its gray g.  Histogram's
     # MAX_PIXELS bound keeps every cost finite, so no live cost ties +inf.
     inf = math.inf
-    if h.N < _EXACT_STARTUP:
-        # Every n1*n2 < 2**50 and n1 + n2 < 2**26 is exact in int64 and in
-        # float64, so each float is the int expression's below.
-        n = np.fromiter(ns, np.int64, k0)
-        dg = np.diff(np.fromiter(grays, np.int64, k0))
-        dg *= dg
-        d2 = np.empty(k0)
-        d2[-1] = inf
-        live = d2[:-1]
-        np.true_divide(n[:-1] * n[1:], n[:-1] + n[1:], out=live)
-        live *= dg
-    else:
-        d2 = np.array(
-            [n1 * n2 / (n1 + n2) * ((g1 - g2) * (g1 - g2))
-             for n1, g1, n2, g2 in zip(ns, grays, ns[1:], grays[1:])] + [inf],
-            dtype=np.float64,
-        )
+    # Below 2**26 pixels every n1*n2 < 2**50 and n1 + n2 < 2**26 is exact in
+    # int64 and in float64.  From 2**26 on the counts are Python ints, whose
+    # int / is correctly rounded: either way each float is n1*n2/(n1 + n2).
+    n = np.fromiter(ns, np.int64 if h.N < _EXACT_STARTUP else object, k0)
+    dg = np.diff(np.fromiter(grays, np.int64, k0))
+    dg *= dg
+    d2 = np.empty(k0)
+    d2[-1] = inf
+    live = d2[:-1]
+    np.true_divide(n[:-1] * n[1:], n[:-1] + n[1:], out=live, casting="unsafe")
+    live *= dg
     # Slots and the argmin go in and out as Python ints and floats, never
     # boxed as NumPy scalars: argmin writes into a 0-d buffer read back as an int.
     at = np.empty((), dtype=np.intp)

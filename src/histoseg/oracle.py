@@ -8,9 +8,9 @@ globally optimal cut set by dynamic programming over the occupied levels,
 with exact tie-breaking.  Its score table holds only the feasible cells,
 one block per 128 rows (at most two for 256 levels) that holds its scores
 and one scratch buffer, exact in each class's count and gray sum at any
-pixel count (int64 differences once the pixel count or gray sum reaches
-2^53).  The exact scatter of a cut set, by which the two are compared, is
-metrics.cut_set_errors.
+pixel count (the same expression on Python ints once the pixel count or
+gray sum reaches 2^53).  The exact scatter of a cut set, by which the two
+are compared, is metrics.cut_set_errors.
 """
 
 import numpy as np
@@ -87,10 +87,10 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     buffer for its class counts and sweep sums.  Each class's count and
     gray sum enters its float score as one correctly rounded float at any
     pixel count: as a difference of float64 running sums while the pixel
-    count and the gray sum stay below 2^53, where those are exact, and of
-    int64 running sums from 2^53 on.  Exact ties keep the
-    lexicographically smallest cut set: every DP cell takes the smallest
-    first-class end that reaches its exact optimum, and a cell with
+    count and the gray sum stay below 2^53, where those are exact, and the
+    same expression on Python-int running sums from 2^53 on.  Exact ties
+    keep the lexicographically smallest cut set: every DP cell takes the
+    smallest first-class end that reaches its exact optimum, and a cell with
     several float scores within rounding error of its maximum settles them
     exactly from the integer class sums.  Raises EmptyHistogram for no
     pixels, then InvalidLevel when check_level refuses m or m < 2.
@@ -113,17 +113,11 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     # Each class's count and gray sum is taken as one correctly rounded float.
     # Below 2^53 every running sum is exact in float64, so their float
     # differences are too.  Past it a difference of two rounded totals can
-    # lose a small class whole, so counts are taken as int64 differences, and
-    # gray sums (up to 255 * (2^63 - 1)) as int64 differences of their halves
-    # split at 2^32, whose high half stays below 2^39 and so exact in float64.
-    small = max(n_total, run_s[-1]) < 2**53
-    if small:
-        sums_n = np.array(run_n, dtype=np.float64)
-        sums_s = np.array(run_s, dtype=np.float64)
-    else:
-        sums_n = np.array(run_n, dtype=np.int64)
-        sums_s = np.array([s >> 32 for s in run_s], dtype=np.int64)
-        sums_s_low = np.array([s & 0xFFFFFFFF for s in run_s], dtype=np.int64)
+    # lose a small class whole, so the same expression runs on Python ints,
+    # whose exact differences are each rounded once as they become floats.
+    dtype = np.float64 if max(n_total, run_s[-1]) < 2**53 else object
+    sums_n = np.array(run_n, dtype=dtype)
+    sums_s = np.array(run_s, dtype=dtype)
 
     # score[i, c]: n * (mean - grand)^2 of the class of levels i..c, the same
     # float form the between-class scatter takes, or -inf where c < i.  Only
@@ -133,11 +127,8 @@ def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:
     for r0 in range(0, k0, _ROWS):
         size = min(_ROWS, k0 - r0)
         n = vals = np.empty((size, k0 - r0))
-        np.subtract(sums_n[None, r0 + 1 :], sums_n[r0 : r0 + size, None], out=n)
+        np.subtract(sums_n[None, r0 + 1 :], sums_n[r0 : r0 + size, None], out=n, casting="unsafe")
         score = (sums_s[None, r0 + 1 :] - sums_s[r0 : r0 + size, None]).astype(float, copy=False)
-        if not small:
-            score *= 2.0**32
-            score += sums_s_low[None, r0 + 1 :] - sums_s_low[r0 : r0 + size, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             score /= n
             score -= grand

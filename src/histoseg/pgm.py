@@ -23,10 +23,9 @@ _HIST_SLICE = 1 << 16
 # slower at 2**16 pixels and 12-18% faster at 2**17 and 2**18, on uniform
 # noise and on a smooth test image.
 _PAIR_MIN = 1 << 18
-# Pairs counted into one int32 table before it is folded into the int64
-# counts.  A bin, and a row or column of the table, holds at most every
-# pair of its chunk, so a chunk stays under 2**31 pairs; any raster under
-# 2**32 pixels is one chunk.
+# The most pairs one int32 table counts: a bin, and a row or column of the
+# table, holds at most every pair, so any raster under 2**32 pixels takes an
+# int32 table, and a larger one an int64 table.
 _PAIR_CHUNK = (1 << 31) - 1
 
 
@@ -91,6 +90,7 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray:
     # A nonzero digit with three digits after it makes a sample past 999, as
     # every byte up to n is in an all-digit token: one rule for long tokens.
     u = d * digit  # a non-digit counts 0
+    del d, buf, tok, in_token  # only u, digit and last are read from here
     k = max(n - 3, 0)
     if ((u[:k] != 0) & digit[1 : k + 1] & digit[2 : k + 2] & digit[3 : k + 3]).any():
         raise MalformedPayload("sample outside [0, maxval]")
@@ -196,10 +196,12 @@ def histogram_of(img: GrayImage) -> Histogram:
     # bincount widens its input to int64 and counts each element with a
     # dependent increment; slicing bounds the widened temporary.  A large
     # raster is counted as uint16 pairs, half as many elements, by np.add.at,
-    # which does not widen them, into a 65536-bin int32 table, then folded: a
+    # which does not widen them, into one 65536-bin table, then folded: a
     # pair's two bytes are its row and column, in either byte order, so
-    # summing both axes counts every byte once.  The increment is an int32
-    # too: one of another dtype takes np.add.at off its fast path.
+    # summing both axes counts every byte once.  The table is int32 up to
+    # _PAIR_CHUNK pairs and int64 past them.  The increment and both sums
+    # take its dtype: another increment takes np.add.at off its fast path,
+    # and an int64 sum of an int32 table casts every bin, at twice the time.
     flat = img.pixels.ravel()
     counts = np.zeros(256, dtype=np.int64)
     if flat.size < _PAIR_MIN:
@@ -208,13 +210,11 @@ def histogram_of(img: GrayImage) -> Histogram:
     else:
         even = flat.size & ~1
         pairs = flat[:even].view(np.uint16)
-        for i in range(0, pairs.size, _PAIR_CHUNK):
-            table = np.zeros((256, 256), dtype=np.int32)
-            np.add.at(table.reshape(-1), pairs[i : i + _PAIR_CHUNK], np.int32(1))
-            # A row or column sums at most the chunk's pairs, so int32 holds
-            # it; summing into int64 would cast every bin, at twice the time.
-            counts += table.sum(0, dtype=np.int32)
-            counts += table.sum(1, dtype=np.int32)
+        dtype = np.int32 if pairs.size <= _PAIR_CHUNK else np.int64
+        table = np.zeros((256, 256), dtype=dtype)
+        np.add.at(table.reshape(-1), pairs, dtype(1))
+        counts += table.sum(0, dtype=dtype)
+        counts += table.sum(1, dtype=dtype)
         if even < flat.size:
             counts[flat[-1]] += 1
     return Histogram(counts.tolist())

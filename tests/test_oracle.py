@@ -173,14 +173,22 @@ class TestExhaustiveOtsu:
                     searches += 1
         assert searches == 108
 
-    @pytest.mark.parametrize("k0", [127, 128, 129, 300])
-    def test_matches_exact_reference_across_the_block_seam(self, k0):
+    @pytest.mark.parametrize("k0, scale", [
+        pytest.param(k0, scale, id=str(k0) if scale == 1 else f"{k0}-2**51")
+        for scale in (1, 2**51) for k0 in (127, 128, 129, 300)
+    ])
+    def test_matches_exact_reference_across_the_block_seam(self, k0, scale):
         # the score table splits every 128 rows: 127 and 128 occupied levels
         # fit one block, 129 open a second and 300, on 300 gray levels, a
-        # third; counts from {1, 2, 3, 6} tie often
+        # third; counts from {1, 2, 3, 6} tie often.  Times 2**51 they take
+        # the Python-int class sums, past 2^53 pixels and 2^63 gray
         rng = random.Random(k0)
         grays = max(256, k0)
-        h = hist_from({g: rng.choice((1, 2, 3, 6)) for g in rng.sample(range(grays), k0)}, grays)
+        h = hist_from({g: scale * rng.choice((1, 2, 3, 6)) for g in rng.sample(range(grays), k0)},
+                      grays)
+        if scale > 1:
+            cn, c1, _ = h.running_sums
+            assert cn[-1] >= 2**53 and c1[-1] >= 2**63
         for m in (2, 3):
             assert exhaustive_otsu(h, m).cuts == exact_otsu_cuts(h, m), (k0, m)
 
