@@ -12,14 +12,16 @@ pixels, where it is exact, and the same expression on Python ints from
 It links neighbours through two index lists, finds each merge with one
 argmin scan of the array, written into a reused 0-d buffer and read back
 as a Python int (the first minimum is the lowest slot, so the lowest gray
-wins ties), and keeps each class's exact count and gray sum as Python
-ints; nothing is shifted as classes go.  Each merge stores only the cut
-it removed and its d_sq, and the trace is built valid, skipping the
-checks a hand-built MergeTrace gets.  The unbiased within-class and
+wins among equal float costs; exactly tied costs can round apart, so
+merges whose exact costs tie may be taken in another order), and keeps
+each class's exact count and gray sum as Python ints; nothing is shifted
+as classes go.  Each merge stores only the cut it removed and its d_sq,
+and the trace is built valid, skipping the checks a hand-built MergeTrace
+gets.  The unbiased within-class and
 between-class variance estimates v and w, and q = v/w, follow from the
 d_sq by O(1) updates per merge, in one generator, _variances(), run
 only when MergeTrace.records is read.  That is the paper's recursion,
-kept as library API and checked against naive sums; no command reads
+kept as library API and checked against exact sums; no command reads
 it, as metrics.level_stats gives a cut set's v, w and q exactly from the
 histogram's sums.
 The partitions for any class counts are read off
@@ -366,7 +368,9 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     the int expression gives.  The loop reads and writes slots
     through a memoryview of the array, as Python floats.  Each step is one
     argmin over the slots, a linear scan whose first minimum is the lowest
-    slot, which is the lowest gray, so ties go to the lowest index; it
+    slot, which is the lowest gray, so equal float costs go to the lowest
+    index.  Costs come from rounded means, so two exactly tied costs can
+    differ in their last bits and be merged in another order.  The argmin
     writes the index into one 0-d intp buffer, reused by every step and
     read through a memoryview as a Python int, so no NumPy scalar is
     boxed.  Lists prv/nxt link each class to its neighbours, and only the
@@ -406,7 +410,7 @@ def run_dendrogram(h: Histogram) -> MergeTrace:
     bounds, costs = [], []
     for _ in range(k0 - 1):
         argmin(None, at)
-        l = where[()]  # first minimum: the lowest slot wins ties
+        l = where[()]  # first minimum: the lowest slot wins equal floats
         costs.append(slot[l])
         r = nxt[l]
         bounds.append(grays[r - 1])  # class l spans initial classes l..r-1

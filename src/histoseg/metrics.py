@@ -251,10 +251,9 @@ def _estimates(n: int, nt: int, m: int, num: int, den: int):
 
     With b = N*den*(T - W), an int: v = num/(den*(N - M)),
     w = b/(N*den*(M - 1)) and q = N*(M - 1)*num/((N - M)*b).  Edge values
-    are engine._variances' and oracle.naive_variances': v is 0.0 when
-    N <= M (with no empty class, each class then holds one pixel and
-    W = 0), w and q are None for one class, and q is None when w is 0 and
-    0.0 when W is.
+    are engine._variances': v is 0.0 when N <= M (with no empty class,
+    each class then holds one pixel and W = 0), w and q are None for one
+    class, and q is None when w is 0 and 0.0 when W is.
     """
     v = num / (den * (n - m)) if n > m else 0.0
     if m < 2:

@@ -1,16 +1,15 @@
-"""Reference implementations for cross-checking the engine.
+"""The exact multilevel-Otsu optimum that greedy merging is compared against.
 
-Everything here recomputes from the raw histogram, sharing no state with
+exhaustive_otsu recomputes from the raw histogram, sharing no state with
 the engine's incremental updates, so the two routes stay independent
-checks of each other: naive_variances sums the plain definitions over the
-bins, O(G) per call at any pixel count, and exhaustive_otsu finds the
-globally optimal cut set by dynamic programming over the occupied levels,
-with exact tie-breaking.  Its score table holds only the feasible cells,
-one block per 128 rows (at most two for 256 levels) that holds its scores
-and one scratch buffer, exact in each class's count and gray sum at any
-pixel count (the same expression on Python ints once the pixel count or
-gray sum reaches 2^53).  The exact scatter of a cut set, by which the two
-are compared, is metrics.cut_set_errors.
+checks of each other.  It finds the globally optimal cut set by dynamic
+programming over the occupied levels, with exact tie-breaking.  Its score
+table holds only the feasible cells, one block per 128 rows (at most two
+for 256 levels) that holds its scores and one scratch buffer, exact in
+each class's count and gray sum at any pixel count (the same expression
+on Python ints once the pixel count or gray sum reaches 2^53).  The exact
+scatter of a cut set, by which the two are compared, is
+metrics.cut_set_errors.
 """
 
 import numpy as np
@@ -30,45 +29,6 @@ from .engine import (
 # its leading square.  Smaller blocks cost more NumPy calls per DP sweep.
 _ROWS = 128
 _BELOW = np.tri(_ROWS, _ROWS, -1, dtype=bool)
-
-
-def naive_variances(h: Histogram, t: ThresholdSet) -> tuple[float, float | None]:
-    """Within/between-class variance summed straight from the histogram.
-
-    Each class of `t` spans the gray levels above the previous cut up to
-    its own cut (or `t.top`), clamped at the histogram's last level G - 1;
-    its count, mean and scatter are recomputed from the raw bins with no
-    shared state.  Returns (v, w) with w None for a single class; v is 0
-    when the within-class scatter vanishes, even if N equals K.  Raises
-    ValueError when `t` does not describe `h`: a class is empty, a mean
-    in `t.means` differs from the recomputed one, or pixels lie above
-    `t.top`.
-    """
-    n_total = h.N
-    grand = sum(g * cnt for g, cnt in enumerate(h.counts)) / n_total
-    ss_within = 0.0
-    ss_between = 0.0
-    covered = 0
-    last = h.G - 1
-    lo = 0
-    for hi, mean in zip(t.cuts + (t.top,), t.means):
-        span = range(lo, min(hi, last) + 1)
-        lo = hi + 1
-        n_k = sum(h.counts[g] for g in span)
-        if n_k == 0:
-            raise ValueError(f"class ending at gray {hi} holds no pixels")
-        mean_k = sum(g * h.counts[g] for g in span) / n_k
-        if mean_k != mean:
-            raise ValueError(f"class mean {mean} differs from recomputed {mean_k}")
-        covered += n_k
-        ss_within += sum(h.counts[g] * (g - mean_k) ** 2 for g in span)
-        ss_between += n_k * (mean_k - grand) ** 2
-    if covered != n_total:
-        raise ValueError(f"{n_total - covered} pixels lie above top {t.top}")
-    k = t.M
-    v = ss_within / (n_total - k) if n_total > k else 0.0
-    w = ss_between / (k - 1) if k >= 2 else None
-    return v, w
 
 
 def exhaustive_otsu(h: Histogram, m: int) -> ThresholdSet:

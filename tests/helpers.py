@@ -52,6 +52,25 @@ def pgm_bytes(img: GrayImage, fmt: str = "P5") -> bytes:
     return fh.getvalue()
 
 
+# The bytes PGM headers and P2 samples are made of, so mutants stay near-valid.
+MUTATION_BYTES = b"0123456789 +-_#\n"
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    """Apply 1-4 byte flips, deletions or inserts drawn from MUTATION_BYTES."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(out) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(out):
+            out[i] = rng.choice(MUTATION_BYTES)
+        elif op == 1 and i < len(out):
+            del out[i]
+        else:
+            out.insert(i, rng.choice(MUTATION_BYTES))
+    return bytes(out)
+
+
 def small_image(rng: np.random.Generator, side: int = 12, min_distinct: int = 4,
                 max_distinct: int = 16) -> GrayImage:
     """Random image drawing pixels from a small palette of gray levels."""

@@ -23,8 +23,11 @@ from histoseg.pgm import histogram_of
 
 from helpers import (
     dense_histogram,
+    exact_variances,
     hist_from,
     pgm_bytes,
+    rel_err,
+    replay_thresholds,
     small_image,
     sparse_histogram,
     standard_image,
@@ -45,29 +48,32 @@ def within_rel(value, reference, tol):
 
 
 def test_c1_oracle_equivalence():
-    """Recursive v/w match naive recomputation at every step of 1000 runs."""
-    from histoseg.oracle import naive_variances
+    """Recursive v/w match exact recomputation at every step of 1000 runs.
 
+    Each walked cut set's means must also equal those of an independent
+    replay of the merges, which rebuilds every class's sums from the bins.
+    """
     rng = random.Random(20250811)
     worst = 0.0
     steps = 0
+    means_differ = 0
     for _ in range(1000):
         h = sparse_histogram(rng, max_bins=12, max_pixels=40)
         trace = run_dendrogram(h)
-        tsets = thresholds_at_levels(trace, [r.K_after for r in trace.records])
+        levels = [r.K_after for r in trace.records]
+        tsets = thresholds_at_levels(trace, levels)
+        means_differ += sum(a != b for a, b in zip(tsets, replay_thresholds(trace, levels)))
         for rec, t in zip(trace.records, tsets):
             v, w = rec.v, rec.w
-            v_naive, w_naive = naive_variances(h, t)
-            gap_v = 0.0 if v == v_naive else abs(v - v_naive) / max(abs(v_naive), abs(v), 1e-30)
-            worst = max(worst, gap_v)
-            if w_naive is None:
+            v_exact, w_exact, _ = exact_variances(h, t)
+            worst = max(worst, rel_err(v, v_exact))
+            if w_exact is None:
                 assert w is None
             else:
-                gap_w = 0.0 if w == w_naive else abs(w - w_naive) / max(abs(w_naive), abs(w))
-                worst = max(worst, gap_w)
+                worst = max(worst, rel_err(w, w_exact))
             steps += 1
-    report("C1 oracle equivalence", worst <= 1e-9,
-           f"(worst rel err {worst:.3e} over {steps} steps)")
+    report("C1 oracle equivalence", worst <= 1e-9 and not means_differ,
+           f"(worst rel err {worst:.3e} over {steps} steps, {means_differ} cut sets off the replay)")
 
 
 def test_c2_conservation_identity():

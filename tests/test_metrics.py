@@ -11,6 +11,7 @@ import histoseg.metrics
 from histoseg.engine import (
     MAX_PIXELS,
     EmptyHistogram,
+    Histogram,
     InvalidLevel,
     ThresholdSet,
     run_dendrogram,
@@ -507,6 +508,12 @@ class TestLevelStats:
         assert stats(hist_from({1: 2, 3: 1}), (0,), 3) == (8 / 3, 0.0, None)
         # W > 0 with classes to spare: q is v/w
         assert stats(five, (2,), 5) == (1 / 3, 9.8, 5 / 147)
+        # bounds past the last bin are clamped: the last class spans grays 2..3
+        four = Histogram((1, 1, 1, 1))
+        assert stats(four, (1,), 9) == (0.5, 4.0, 0.125)
+        assert stats(four, (), 4) == stats(four, (), 3) == (5 / 3, None, None)
+        # the class (3, 5] lies wholly above the last bin: empty, yet counted in M
+        assert stats(four, (3, 5), 9) == (5.0, 0.0, None)
 
 
 class TestForegroundOf:

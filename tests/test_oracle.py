@@ -18,12 +18,13 @@ from histoseg.engine import (
     threshold_set,
     thresholds_at,
 )
-from histoseg.metrics import cut_set_errors
-from histoseg.oracle import exhaustive_otsu, naive_variances
+from histoseg.metrics import cut_set_errors, level_stats
+from histoseg.oracle import exhaustive_otsu
 from histoseg.pgm import histogram_of
 
 from helpers import (
     dense_histogram,
+    exact_variances,
     hist_from,
     merge_order_families,
     sparse_histogram,
@@ -57,54 +58,43 @@ def identity_partition(h):
     return thresholds_at(run_dendrogram(h), k0)
 
 
+def naive_vw(h, t):
+    """(v, w) recomputed from the bins, after checking level_stats gives the same v, w, q."""
+    [(_, vwq)] = level_stats(h, [t])
+    assert vwq == exact_variances(h, t)
+    return vwq[:2]
+
+
 class TestNaiveVariances:
+    """v and w recomputed from the bins (helpers.exact_variances), and level_stats with them."""
+
     def test_post_merge_example(self):
         t = thresholds_at(run_dendrogram(EXAMPLE), 2)
-        v, w = naive_variances(EXAMPLE, t)
-        assert v == pytest.approx(1 / 3, rel=1e-12)
-        assert w == pytest.approx(9.8, rel=1e-12)
+        assert naive_vw(EXAMPLE, t) == (1 / 3, 9.8)
 
     def test_initial_state_has_zero_within(self):
         rng = random.Random(79)
         for _ in range(20):
             h = sparse_histogram(rng)
-            v, _ = naive_variances(h, identity_partition(h))
+            v, _ = naive_vw(h, identity_partition(h))
             assert v == 0.0
 
     def test_single_class_flags_w(self):
         h = hist_from({7: 10})
-        v, w = naive_variances(h, identity_partition(h))
-        assert v == 0.0
-        assert w is None
-
-    def test_inconsistent_class_array(self):
-        t = thresholds_at(run_dendrogram(EXAMPLE), 2)
-        # one more pixel at gray 1 moves the first class mean off 1.5
-        with pytest.raises(ValueError):
-            naive_variances(hist_from({1: 3, 2: 2, 5: 1}), t)
-        # the middle class (2, 3] holds no pixels
-        with pytest.raises(ValueError):
-            naive_variances(EXAMPLE, ThresholdSet(cuts=(2, 3), means=(1.5, 3.0, 5.0), top=5))
-        # the pixel at gray 5 lies above top
-        with pytest.raises(ValueError):
-            naive_variances(EXAMPLE, ThresholdSet(cuts=(), means=(1.5,), top=2))
+        assert naive_vw(h, identity_partition(h)) == (0.0, None)
 
     def test_bounds_past_the_last_bin_are_clamped(self):
         # once an IndexError from h.counts[4]: the last class spans grays 2..3
         h = Histogram((1, 1, 1, 1))
-        v, w = naive_variances(h, ThresholdSet(cuts=(1,), means=(0.5, 2.5), top=9))
-        assert (v, w) == (0.5, 4.0)
-        assert naive_variances(h, ThresholdSet(cuts=(), means=(1.5,), top=4)) == (
-            naive_variances(h, ThresholdSet(cuts=(), means=(1.5,), top=3))
+        assert naive_vw(h, ThresholdSet(cuts=(1,), means=(0.5, 2.5), top=9)) == (0.5, 4.0)
+        assert naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=4)) == (
+            naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=3))
         )
 
     def test_class_left_empty_by_the_clamp(self):
-        # the class (3, 5] lies wholly above the last bin, gray 3
-        with pytest.raises(ValueError, match="class ending at gray 5 holds no pixels"):
-            naive_variances(
-                Histogram((1, 1, 1, 1)),
-                ThresholdSet(cuts=(3, 5), means=(1.5, 4.0, 6.0), top=9),
-            )
+        # the class (3, 5] lies wholly above the last bin, gray 3: empty, yet counted in M
+        h = Histogram((1, 1, 1, 1))
+        assert naive_vw(h, ThresholdSet(cuts=(3, 5), means=(1.5, 4.0, 6.0), top=9)) == (5.0, 0.0)
 
 
 class TestExhaustiveOtsu:

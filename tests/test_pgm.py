@@ -22,12 +22,11 @@ from histoseg.pgm import (
     write_pgm,
 )
 
-from helpers import pgm_bytes, standard_image
+from helpers import mutate, pgm_bytes, standard_image
 
 P5_MINIMAL = b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 P2_MINIMAL = b"P2\n2 2\n255\n0 128\n128 255\n"
 WS = b" \t\n\r\x0b\x0c"
-MUTATION_BYTES = b"0123456789 +-_#\n"
 
 
 def reference_samples(payload: bytes, count: int) -> list[int]:
@@ -57,21 +56,6 @@ def reference_header(data: bytes) -> tuple[str | None, list[bytes]]:
         if i and not tokens[i].isdigit():
             return f"non-numeric {name}", tokens
     return None, tokens
-
-
-def mutate(rng: random.Random, data: bytes) -> bytes:
-    """Apply 1-4 byte flips, deletions or inserts drawn from MUTATION_BYTES."""
-    out = bytearray(data)
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(len(out) + 1)
-        op = rng.randrange(3)
-        if op == 0 and i < len(out):
-            out[i] = rng.choice(MUTATION_BYTES)
-        elif op == 1 and i < len(out):
-            del out[i]
-        else:
-            out.insert(i, rng.choice(MUTATION_BYTES))
-    return bytes(out)
 
 
 def random_image(rng: random.Random) -> GrayImage:
@@ -551,6 +535,24 @@ class TestHistogramOfPairPath:
         assert (img.pixels.size // 2) > chunk and (img.pixels.size // 2) % chunk
         h = histogram_of(img)
         assert h.counts[77] == 1449 * 1449 and h.N == 1449 * 1449
+
+    @pytest.mark.parametrize("over, dtype", [(0, np.int32), (1, np.int64)], ids=["int32", "int64"])
+    def test_table_dtype_on_each_side_of_the_chunk_bound(self, monkeypatch, over, dtype):
+        # No raster under 2**32 pixels overflows an int32 bin, so the table's
+        # dtype is read off its np.zeros call: int32 up to _PAIR_CHUNK pairs,
+        # int64 from one pair past it.
+        monkeypatch.setattr(histoseg.pgm, "_PAIR_CHUNK", _PAIR_MIN // 2 - over)
+        zeros, tables = np.zeros, []
+
+        def spy(*args, **kwargs):
+            made = zeros(*args, **kwargs)
+            if made.shape == (256, 256):
+                tables.append(made.dtype)
+            return made
+
+        monkeypatch.setattr(np, "zeros", spy)
+        h = histogram_of(GrayImage(pixels=np.full((1, _PAIR_MIN), 77, dtype=np.uint8)))
+        assert tables == [np.dtype(dtype)] and h.counts[77] == _PAIR_MIN
 
     def test_pair_count_stays_on_the_add_at_fast_path(self):
         # np.add.at leaves its fast path when the increment's dtype differs
