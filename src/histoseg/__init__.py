@@ -6,8 +6,6 @@ from .engine import (
     EmptyHistogram,
     InvalidLevel,
     MergeTrace,
-    histogram_from_csv,
-    histogram_from_json,
     run_dendrogram,
     thresholds_at,
     thresholds_at_levels,
@@ -31,8 +29,6 @@ __all__ = [
     "MergeTrace",
     "PgmError",
     "RangeMismatch",
-    "histogram_from_csv",
-    "histogram_from_json",
     "histogram_of",
     "level_stats",
     "map_to_class_means",

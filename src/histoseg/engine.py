@@ -135,48 +135,6 @@ def _as_ints(values: tuple, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers") from None
 
 
-def histogram_from_json(text: str) -> Histogram:
-    """Parse a histogram from a JSON array of per-level bin counts."""
-    try:
-        data = json.loads(text)
-    except RecursionError:  # json's decoder recurses once per nesting level
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, list):  # Histogram refuses non-integer counts
-        raise ValueError("expected a JSON array of integers")
-    return Histogram(data)
-
-
-def histogram_from_csv(text: str) -> Histogram:
-    """Parse "gray,count" lines into a 256-bin histogram.
-
-    Blank lines and '#' comments are skipped and a leading "gray,count"
-    header is tolerated.  Repeated gray levels accumulate.
-    """
-    counts = [0] * 256
-    first_data_line = True
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if first_data_line and line.replace(" ", "").lower() == "gray,count":
-            first_data_line = False
-            continue
-        first_data_line = False
-        fields = [part.strip() for part in line.split(",")]
-        # ASCII digits only: int() would also take a sign, '_' or another
-        # script's digits.  It still refuses a field past its digit limit.
-        try:
-            if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
-                raise ValueError
-            g, c = map(int, fields)
-        except ValueError:
-            raise ValueError(f"line {ln}: expected 'gray,count'") from None
-        if g > 255:
-            raise ValueError(f"line {ln}: gray level {g} outside [0, 255]")
-        counts[g] += c
-    return Histogram(tuple(counts))
-
-
 class ClassRecord(NamedTuple):
     """One contiguous gray-level class.
 

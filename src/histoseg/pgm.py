@@ -1,4 +1,4 @@
-"""Minimal Netpbm PGM codec (binary P5 and ASCII P2), 8-bit only.
+"""Minimal Netpbm PGM codec, 8-bit only: reads binary P5 and ASCII P2, writes P5.
 
 The header and the P2 raster share one grammar of _WS and '#' comments to
 end of line; one pattern built from both, _LEXEME, tokenizes the header.
@@ -167,26 +167,17 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(pixels=px.astype(np.uint8, copy=False))
 
 
-def write_pgm(img: GrayImage, fh: BinaryIO, fmt: str = "P5") -> bytes | memoryview:
-    """Write img as 8-bit PGM into the open binary file fh.
+def write_pgm(img: GrayImage, fh: BinaryIO) -> memoryview:
+    """Write img as an 8-bit binary P5 PGM into the open binary file fh.
 
-    The header is written first, then the payload, which is returned as a
-    flat bytes-like object whose len() is its byte count.  A P5 payload is
-    the raster's own buffer, with no copy of a C-contiguous image.  The
-    bytes round-trip through read_pgm bit-exactly.
+    The header is written first, then the raster, which is returned as a
+    flat memoryview whose len() is its byte count: the raster's own
+    buffer, with no copy of a C-contiguous image.  The bytes round-trip
+    through read_pgm bit-exactly.
     """
-    if fmt not in ("P5", "P2"):
-        raise ValueError(f"format must be 'P5' or 'P2', got {fmt!r}")
-    header = f"{fmt}\n{img.width} {img.height}\n255\n".encode("ascii")
-    if fmt == "P5":
-        # A 1-D view: a 2-D memoryview's len() would be its row count.
-        payload = np.ascontiguousarray(img.pixels).reshape(-1).data
-    else:
-        # keep lines under the customary 70-character limit
-        flat = [str(v) for v in img.pixels.ravel().tolist()]
-        lines = [" ".join(flat[i : i + 17]) for i in range(0, len(flat), 17)]
-        payload = "\n".join(lines).encode("ascii") + b"\n"
-    fh.write(header)
+    # A 1-D view: a 2-D memoryview's len() would be its row count.
+    payload = np.ascontiguousarray(img.pixels).reshape(-1).data
+    fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
     fh.write(payload)
     return payload
 

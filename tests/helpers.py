@@ -46,10 +46,15 @@ def hist_from(bins: dict, g: int = 256) -> Histogram:
 
 
 def pgm_bytes(img: GrayImage, fmt: str = "P5") -> bytes:
-    """The PGM file write_pgm writes for img, as bytes."""
-    fh = io.BytesIO()
-    write_pgm(img, fh, fmt)
-    return fh.getvalue()
+    """img as a PGM file: fmt "P5" is what write_pgm writes, "P2" has 17 samples a line."""
+    if fmt == "P5":
+        fh = io.BytesIO()
+        write_pgm(img, fh)
+        return fh.getvalue()
+    header = f"P2\n{img.width} {img.height}\n255\n".encode("ascii")
+    flat = [str(v) for v in img.pixels.ravel().tolist()]
+    lines = [" ".join(flat[i : i + 17]) for i in range(0, len(flat), 17)]
+    return header + "\n".join(lines).encode("ascii") + b"\n"
 
 
 # The bytes PGM headers and P2 samples are made of, so mutants stay near-valid.

@@ -46,6 +46,8 @@ from helpers import (
     standard_image,
 )
 
+EXAMPLE = hist_from({1: 2, 2: 2, 5: 1})
+
 
 def gray(*rows):
     return GrayImage(pixels=np.array(rows, dtype=np.int64))
@@ -514,6 +516,51 @@ class TestLevelStats:
         assert stats(four, (), 4) == stats(four, (), 3) == (5 / 3, None, None)
         # the class (3, 5] lies wholly above the last bin: empty, yet counted in M
         assert stats(four, (3, 5), 9) == (5.0, 0.0, None)
+
+
+def identity_partition(h):
+    """The initial one-class-per-occupied-level partition, as a ThresholdSet."""
+    k0 = sum(1 for c in h.counts if c)
+    return thresholds_at(run_dendrogram(h), k0)
+
+
+def naive_vw(h, t):
+    """(v, w) recomputed from the bins, after checking level_stats gives the same v, w, q."""
+    [(_, vwq)] = level_stats(h, [t])
+    assert vwq == exact_variances(h, t)
+    return vwq[:2]
+
+
+class TestLevelStatsMatchesExactVariances:
+    """level_stats' v, w and q equal helpers.exact_variances' recomputation from the bins."""
+
+    def test_post_merge_example(self):
+        t = thresholds_at(run_dendrogram(EXAMPLE), 2)
+        assert naive_vw(EXAMPLE, t) == (1 / 3, 9.8)
+
+    def test_initial_state_has_zero_within(self):
+        rng = random.Random(79)
+        for _ in range(20):
+            h = sparse_histogram(rng)
+            v, _ = naive_vw(h, identity_partition(h))
+            assert v == 0.0
+
+    def test_single_class_flags_w(self):
+        h = hist_from({7: 10})
+        assert naive_vw(h, identity_partition(h)) == (0.0, None)
+
+    def test_bounds_past_the_last_bin_are_clamped(self):
+        # once an IndexError from h.counts[4]: the last class spans grays 2..3
+        h = Histogram((1, 1, 1, 1))
+        assert naive_vw(h, ThresholdSet(cuts=(1,), means=(0.5, 2.5), top=9)) == (0.5, 4.0)
+        assert naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=4)) == (
+            naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=3))
+        )
+
+    def test_class_left_empty_by_the_clamp(self):
+        # the class (3, 5] lies wholly above the last bin, gray 3: empty, yet counted in M
+        h = Histogram((1, 1, 1, 1))
+        assert naive_vw(h, ThresholdSet(cuts=(3, 5), means=(1.5, 4.0, 6.0), top=9)) == (5.0, 0.0)
 
 
 class TestForegroundOf:

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,19 +11,16 @@ from histoseg.engine import (
     EmptyHistogram,
     Histogram,
     InvalidLevel,
-    ThresholdSet,
-    histogram_from_json,
     run_dendrogram,
     threshold_set,
     thresholds_at,
 )
-from histoseg.metrics import cut_set_errors, level_stats
+from histoseg.metrics import cut_set_errors
 from histoseg.oracle import exhaustive_otsu
 from histoseg.pgm import histogram_of
 
 from helpers import (
     dense_histogram,
-    exact_variances,
     hist_from,
     merge_order_families,
     sparse_histogram,
@@ -50,51 +46,6 @@ def exact_otsu_cuts(h, m):
         if best is None or score > best:
             best, best_cuts = score, cuts
     return best_cuts
-
-
-def identity_partition(h):
-    """The initial one-class-per-occupied-level partition, as a ThresholdSet."""
-    k0 = sum(1 for c in h.counts if c)
-    return thresholds_at(run_dendrogram(h), k0)
-
-
-def naive_vw(h, t):
-    """(v, w) recomputed from the bins, after checking level_stats gives the same v, w, q."""
-    [(_, vwq)] = level_stats(h, [t])
-    assert vwq == exact_variances(h, t)
-    return vwq[:2]
-
-
-class TestNaiveVariances:
-    """v and w recomputed from the bins (helpers.exact_variances), and level_stats with them."""
-
-    def test_post_merge_example(self):
-        t = thresholds_at(run_dendrogram(EXAMPLE), 2)
-        assert naive_vw(EXAMPLE, t) == (1 / 3, 9.8)
-
-    def test_initial_state_has_zero_within(self):
-        rng = random.Random(79)
-        for _ in range(20):
-            h = sparse_histogram(rng)
-            v, _ = naive_vw(h, identity_partition(h))
-            assert v == 0.0
-
-    def test_single_class_flags_w(self):
-        h = hist_from({7: 10})
-        assert naive_vw(h, identity_partition(h)) == (0.0, None)
-
-    def test_bounds_past_the_last_bin_are_clamped(self):
-        # once an IndexError from h.counts[4]: the last class spans grays 2..3
-        h = Histogram((1, 1, 1, 1))
-        assert naive_vw(h, ThresholdSet(cuts=(1,), means=(0.5, 2.5), top=9)) == (0.5, 4.0)
-        assert naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=4)) == (
-            naive_vw(h, ThresholdSet(cuts=(), means=(1.5,), top=3))
-        )
-
-    def test_class_left_empty_by_the_clamp(self):
-        # the class (3, 5] lies wholly above the last bin, gray 3: empty, yet counted in M
-        h = Histogram((1, 1, 1, 1))
-        assert naive_vw(h, ThresholdSet(cuts=(3, 5), means=(1.5, 4.0, 6.0), top=9)) == (5.0, 0.0)
 
 
 class TestExhaustiveOtsu:
@@ -191,7 +142,7 @@ class TestExhaustiveOtsu:
             ({60: 1, 73: 2**56 - 1, 92: 2**56 - 1, 157: 24019198012642645, 214: 2}, 4, (73, 92, 157)),
         ]:
             counts = [bins.get(g, 0) for g in range(256)]
-            h = histogram_from_json(json.dumps(counts))
+            h = Histogram(counts)
             assert exact_otsu_cuts(h, m) == cuts
             assert exhaustive_otsu(h, m).cuts == cuts, (bins, m)
 
@@ -301,7 +252,7 @@ class TestExhaustiveOtsu:
         assert checked > 50
 
 
-class TestWithinClassScatter:
+class TestCutSetErrors:
     def test_complements_between_scatter(self):
         h = EXAMPLE
         t = exhaustive_otsu(h, 2)
